@@ -119,28 +119,13 @@ void BM_GoptSmallBudget(benchmark::State& state) {
 }
 BENCHMARK(BM_GoptSmallBudget)->Unit(benchmark::kMillisecond);
 
-void BM_CdsScanEngine(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const Database db = make_db(n);
-  const Allocation start = run_drp(db, 10).allocation;
-  for (auto _ : state) {
-    Allocation alloc = start;
-    CdsOptions o;
-    o.engine = CdsEngine::kScan;
-    benchmark::DoNotOptimize(run_cds(alloc, o));
-  }
-}
-BENCHMARK(BM_CdsScanEngine)->Range(128, 2048);
-
 void BM_CdsIndexedEngine(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const Database db = make_db(n);
   const Allocation start = run_drp(db, 10).allocation;
   for (auto _ : state) {
     Allocation alloc = start;
-    CdsOptions o;
-    o.engine = CdsEngine::kIndexed;
-    benchmark::DoNotOptimize(run_cds(alloc, o));
+    benchmark::DoNotOptimize(run_cds(alloc));
   }
 }
 BENCHMARK(BM_CdsIndexedEngine)->Range(128, 2048);

@@ -82,8 +82,6 @@ struct SuiteConfig {
 // (docs/ARCHITECTURE.md §3/§5). Their drp-cds runs cap CDS at 64 iterations:
 // CDS-to-convergence applies Θ(N) moves, so an unbounded row would time the
 // move count, not the per-iteration machinery these rows exist to pin.
-// Both land above kAutoIndexedThreshold, so kAuto gives them the indexed
-// engine while every older row keeps the scan engine (and its exact costs).
 constexpr double kSkew = 0.8, kPhi = 2.0, kBandwidth = 10.0;
 const SuiteConfig kMatrix[] = {
     {"midpoint/drp", Algorithm::kDrp, 120, 6, kSkew, kPhi, kBandwidth, 1000, false},

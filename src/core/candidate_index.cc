@@ -13,36 +13,37 @@ namespace {
 constexpr double kNegInf = -std::numeric_limits<double>::infinity();
 constexpr ChannelId kNoDup = std::numeric_limits<ChannelId>::max();
 
-/// One deduplicated channel point (Z_c, F_c). Channels with bit-identical
-/// aggregates (e.g. several empty channels) collapse into one point that
-/// remembers its two smallest channel ids, so load ties still resolve to the
-/// smallest id exactly like the scan engine.
-struct ChannelPoint {
-  double z = 0.0;         // Z_c (x axis)
-  double f = 0.0;         // F_c (y axis)
-  ChannelId id = 0;       // smallest channel with this point
-  ChannelId dup = kNoDup; // second-smallest, or kNoDup
-};
-
-double cross(const ChannelPoint& o, const ChannelPoint& a, const ChannelPoint& b) {
-  return (a.z - o.z) * (b.f - o.f) - (a.f - o.f) * (b.z - o.z);
-}
-
-/// Andrew monotone-chain lower hull over points pre-sorted by (z, f).
-/// Collinear points are dropped from the chain (they join the next layer).
-std::vector<ChannelPoint> lower_hull(const std::vector<ChannelPoint>& pts) {
-  std::vector<ChannelPoint> hull;
-  for (const ChannelPoint& p : pts) {
-    while (hull.size() >= 2 &&
-           cross(hull[hull.size() - 2], hull[hull.size() - 1], p) <= 0.0) {
-      hull.pop_back();
-    }
-    hull.push_back(p);
-  }
-  return hull;
-}
-
 }  // namespace
+
+void CandidateIndex::Layer::reserve(std::size_t k) {
+  z.reserve(k);
+  f.reserve(k);
+  id.reserve(k);
+  dup.reserve(k);
+}
+
+void CandidateIndex::Layer::assign_lower_hull(const std::vector<Point>& pts) {
+  // Andrew monotone chain, built straight into the columns.
+  auto cross = [this](std::size_t o, std::size_t a, const Point& b) {
+    return (z[a] - z[o]) * (b.f - f[o]) - (f[a] - f[o]) * (b.z - z[o]);
+  };
+  z.clear();
+  f.clear();
+  id.clear();
+  dup.clear();
+  for (const Point& p : pts) {
+    while (size() >= 2 && cross(size() - 2, size() - 1, p) <= 0.0) {
+      z.pop_back();
+      f.pop_back();
+      id.pop_back();
+      dup.pop_back();
+    }
+    z.push_back(p.z);
+    f.push_back(p.f);
+    id.push_back(p.id);
+    dup.push_back(p.dup);
+  }
+}
 
 CandidateIndex::CandidateIndex(Allocation& alloc)
     : alloc_(alloc),
@@ -54,9 +55,17 @@ CandidateIndex::CandidateIndex(Allocation& alloc)
       c2_(alloc.items()),
       s1_(alloc.items()),
       s2_(alloc.items()),
-      gain_(alloc.items()) {
+      gain_(alloc.items()),
+      by_zf_(alloc.channels()) {
   DBS_CHECK_MSG(alloc_.channels() >= 2,
                 "the candidate index needs at least two channels");
+  const std::size_t k = alloc_.channels();
+  std::iota(by_zf_.begin(), by_zf_.end(), 0);
+  points_.reserve(k);
+  rest_.reserve(k);
+  layer1_.reserve(k);
+  layer2_.reserve(k);
+  attention_.reserve(alloc_.items());
   build_hull();
   const std::size_t n = alloc_.items();
   const std::vector<ChannelId>& home = alloc_.assignment();
@@ -67,63 +76,41 @@ CandidateIndex::CandidateIndex(Allocation& alloc)
 }
 
 void CandidateIndex::build_hull() {
-  const ChannelId k = alloc_.channels();
-  const std::span<const double> chan_freq = alloc_.channel_freqs();
-  const std::span<const double> chan_size = alloc_.channel_sizes();
-
   // Deduplicate channel points, remembering the two smallest ids per point.
-  std::vector<ChannelId> by_zf(k);
-  std::iota(by_zf.begin(), by_zf.end(), 0);
-  std::sort(by_zf.begin(), by_zf.end(), [&](ChannelId a, ChannelId b) {
-    if (chan_size[a] != chan_size[b]) return chan_size[a] < chan_size[b];
-    if (chan_freq[a] != chan_freq[b]) return chan_freq[a] < chan_freq[b];
+  // The order is total (ids break ties), so re-sorting the previous fold's
+  // permutation gives the same result as sorting from scratch.
+  std::sort(by_zf_.begin(), by_zf_.end(), [&](ChannelId a, ChannelId b) {
+    if (chan_size_[a] != chan_size_[b]) return chan_size_[a] < chan_size_[b];
+    if (chan_freq_[a] != chan_freq_[b]) return chan_freq_[a] < chan_freq_[b];
     return a < b;
   });
-  std::vector<ChannelPoint> pts;
-  pts.reserve(k);
-  for (const ChannelId c : by_zf) {
-    if (!pts.empty() && pts.back().z == chan_size[c] && pts.back().f == chan_freq[c]) {
-      // by_zf is id-ascending within equal points, so the first follower is
+  points_.clear();
+  for (const ChannelId c : by_zf_) {
+    if (!points_.empty() && points_.back().z == chan_size_[c] &&
+        points_.back().f == chan_freq_[c]) {
+      // by_zf_ is id-ascending within equal points, so the first follower is
       // already the second-smallest id.
-      if (pts.back().dup == kNoDup) pts.back().dup = c;
+      if (points_.back().dup == kNoDup) points_.back().dup = c;
       continue;
     }
-    pts.push_back(ChannelPoint{chan_size[c], chan_freq[c], c, kNoDup});
+    points_.push_back(Point{chan_size_[c], chan_freq_[c], c, kNoDup});
   }
 
   // Two onion layers: the load argmin lives on layer 1, and the runner-up on
   // layer 1's chain neighbours, layer 1's duplicate id, or layer 2's argmin
   // (second-layer sufficiency: removing one hull vertex exposes at most
   // layer-2 points).
-  const std::vector<ChannelPoint> l1 = lower_hull(pts);
-  std::vector<ChannelPoint> rest;
-  rest.reserve(pts.size());
-  {
-    std::size_t h = 0;
-    for (const ChannelPoint& p : pts) {
-      if (h < l1.size() && l1[h].id == p.id) {
-        ++h;
-      } else {
-        rest.push_back(p);
-      }
+  layer1_.assign_lower_hull(points_);
+  rest_.clear();
+  std::size_t h = 0;
+  for (const Point& p : points_) {
+    if (h < layer1_.size() && layer1_.id[h] == p.id) {
+      ++h;
+    } else {
+      rest_.push_back(p);
     }
   }
-  const std::vector<ChannelPoint> l2 = lower_hull(rest);
-
-  auto fill = [](Layer& layer, const std::vector<ChannelPoint>& chain) {
-    layer.z.clear();
-    layer.f.clear();
-    layer.id.clear();
-    layer.dup.clear();
-    for (const ChannelPoint& p : chain) {
-      layer.z.push_back(p.z);
-      layer.f.push_back(p.f);
-      layer.id.push_back(p.id);
-      layer.dup.push_back(p.dup);
-    }
-  };
-  fill(layer1_, l1);
-  fill(layer2_, l2);
+  layer2_.assign_lower_hull(rest_);
 }
 
 namespace {
@@ -164,7 +151,7 @@ void CandidateIndex::query_pair(ItemId y) {
   const std::size_t lo = chain_argmin(z1, f1, layer1_.size(), f, z);
 
   // Exact best among the located vertex and its chain neighbours, by
-  // (load, id) — the scan engine's target tie-break.
+  // (load, id) — the brute-force scan's target tie-break.
   std::size_t bi = lo;
   double bs = load1(lo);
   auto consider_best = [&](std::size_t i) {
@@ -223,7 +210,7 @@ void CandidateIndex::refresh_gain(ItemId y, ChannelId home) {
   const double f = item_freq_[y];
   const double z = item_size_[y];
   // Same expression in the same order as Allocation::move_gain (Eq. 4), so
-  // the cached gain is bit-identical to what the scan engine computes — the
+  // the cached gain is bit-identical to what best_move(alloc) computes — the
   // call is only inlined here because this runs a few million times per
   // large CDS run.
   gain_[y] = f * (chan_size_[home] - chan_size_[to]) +
@@ -286,8 +273,8 @@ CdsMove CandidateIndex::best_move() {
   }
 
   // Selection is a pure argmax over the cached gain column. Keeping the
-  // first maximum ties to the smallest item id — the same total order the
-  // scan engine's ascending-id strict-> loop induces.
+  // first maximum ties to the smallest item id — the same total order
+  // best_move(alloc)'s ascending-id strict-> loop induces.
   const double* g = gain_.data();
   std::size_t bi = 0;
   double bg = g[0];

@@ -10,8 +10,8 @@
 // The index holds three columnar caches, all indexed by ItemId:
 //   * (c1, s1): the min-load channel and its load;
 //   * (c2, s2): the runner-up channel and its load;
-//   * gain: Δc of the item's candidate move (x → c1), computed with the
-//     scan engine's exact Eq. 4 arithmetic, or −∞ when c1 is home.
+//   * gain: Δc of the item's candidate move (x → c1), computed with
+//     Allocation::move_gain's exact Eq. 4 arithmetic, or −∞ when c1 is home.
 //
 // Loads are linear functionals over the channel points (Z_c, F_c), so the
 // exact min-2 is found on two convex-hull onion layers with an O(log K)
@@ -21,7 +21,8 @@
 // touched channel's new load now beats its runner-up; disturbed pairs are
 // re-queried against a freshly built hull (O(K log K) per iteration,
 // negligible), everything else keeps bit-identical cached state. The
-// selection itself is then a pure argmax over the gain column. See
+// selection itself is then a pure argmax over the gain column. The hull is
+// rebuilt in scratch sized at construction, so a fold allocates nothing. See
 // docs/ARCHITECTURE.md §5 for the exactness argument.
 #pragma once
 
@@ -47,8 +48,8 @@ class CandidateIndex {
 
   /// \brief Folds any pending move into the caches and returns the best
   /// single-item move (gain may be ≤ 0 at a local optimum). Ties resolve
-  /// like the scan engine: smallest item id, and per item the
-  /// smallest-load (then smallest-id) target.
+  /// like the brute-force best_move(alloc): smallest item id, and per item
+  /// the smallest-load (then smallest-id) target.
   CdsMove best_move();
 
   /// \brief Applies `move` to the allocation and records its two touched
@@ -65,6 +66,17 @@ class CandidateIndex {
   std::size_t repairs() const { return repairs_; }
 
  private:
+  /// One deduplicated channel point (Z_c, F_c). Channels with bit-identical
+  /// aggregates (e.g. several empty channels) collapse into one point that
+  /// remembers its two smallest channel ids, so load ties still resolve to
+  /// the smallest id exactly like the brute-force scan.
+  struct Point {
+    double z = 0.0;      // Z_c (x axis)
+    double f = 0.0;      // F_c (y axis)
+    ChannelId id = 0;    // smallest channel with this point
+    ChannelId dup = 0;   // second-smallest, or kNoDup
+  };
+
   /// One hull layer: a lower-hull chain over the deduplicated channel
   /// points, plus per-edge deltas for the binary search.
   struct Layer {
@@ -74,6 +86,14 @@ class CandidateIndex {
     std::vector<ChannelId> dup;     // second-smallest id (kNoDup if unique)
     bool empty() const { return z.empty(); }
     std::size_t size() const { return z.size(); }
+
+    /// \brief Reserves room for a chain over `k` points.
+    void reserve(std::size_t k);
+
+    /// \brief Replaces the chain with the lower hull of `pts`, which must be
+    /// sorted by (z, f). Collinear points are dropped from the chain (they
+    /// join the next layer).
+    void assign_lower_hull(const std::vector<Point>& pts);
   };
 
   /// \brief Rebuilds the two onion layers from the current aggregates.
@@ -99,7 +119,12 @@ class CandidateIndex {
 
   Layer layer1_;
   Layer layer2_;
-  std::vector<ItemId> attention_;  // per-fold scratch: disturbed items
+
+  // Fold scratch, sized at construction so that a fold allocates nothing.
+  std::vector<ChannelId> by_zf_;   // channel ids sorted by (Z, F, id)
+  std::vector<Point> points_;      // deduplicated channel points
+  std::vector<Point> rest_;        // points_ minus layer 1's vertices
+  std::vector<ItemId> attention_;  // disturbed items (at most N per fold)
 
   bool pending_ = false;
   ChannelId touched_p_ = 0;

@@ -1,9 +1,5 @@
 #include "core/cds.h"
 
-#include <cstdlib>
-#include <string_view>
-
-#include "common/check.h"
 #include "core/candidate_index.h"
 #include "obs/obs.h"
 
@@ -29,54 +25,28 @@ CdsMove best_move(const Allocation& alloc) {
   return best;
 }
 
-namespace {
-
-/// Moves one full scan evaluates: every item against every other channel.
-std::size_t full_scan_evaluations(const Allocation& alloc) {
-  return alloc.channels() == 0
-             ? 0
-             : alloc.items() * static_cast<std::size_t>(alloc.channels() - 1);
-}
-
-/// First strictly-improving move in (item, channel) scan order, or a move
-/// with gain 0 when none improves. `evaluated` reports how many candidate
-/// gains were computed before returning.
-CdsMove first_improving_move(const Allocation& alloc, double min_gain,
-                             std::size_t& evaluated) {
-  const std::size_t n = alloc.items();
-  const ChannelId k = alloc.channels();
-  evaluated = 0;
-  for (ItemId x = 0; x < n; ++x) {
-    const ChannelId p = alloc.channel_of(x);
-    for (ChannelId q = 0; q < k; ++q) {
-      if (q == p) continue;
-      const double gain = alloc.move_gain(x, q);
-      ++evaluated;
-      if (gain > min_gain) return CdsMove{x, p, q, gain};
-    }
-  }
-  return CdsMove{};
-}
-
-/// Best-improvement loop driven by the candidate index. Each iteration is
-/// one fused O(N) pass (fold the previous move's two touched channels into
-/// every pair, then select the best move) plus O(K) brute repairs for pairs
-/// whose certification lapsed. When the iteration budget is exhausted the
-/// convergence probe is one more index pass, not a full N·(K−1) scan — at
-/// N = 10^6, K = 512 the full scan alone would dwarf the budgeted run.
-CdsStats run_cds_indexed(Allocation& alloc, const CdsOptions& options) {
+CdsStats run_cds(Allocation& alloc, const CdsOptions& options) {
+  DBS_OBS_SPAN("core.cds.run");
   CdsStats stats;
   stats.initial_cost = alloc.cost();
-  bool probe_converged = true;
-  bool deadline_stop = false;
+  // With one channel there is no move to make: trivially a local optimum.
   if (alloc.channels() > 1) {
+    // Each iteration is one fused O(N) index pass: fold the previous move's
+    // two touched channels into every item's cached pair, then select the
+    // best move.
     CandidateIndex index(alloc);
-    while (stats.iterations < options.max_iterations) {
+    while (true) {
+      if (stats.iterations >= options.max_iterations) {
+        // Budget exhausted: one more index pass tells whether the run
+        // happens to sit at a local optimum anyway.
+        stats.converged = index.best_move().gain <= options.min_gain;
+        break;
+      }
       if (options.deadline.expired()) {
         // Cooperative cancellation: stop where we stand, and skip the
-        // convergence probe — it costs a full index pass the budget no
-        // longer covers.
-        deadline_stop = true;
+        // convergence probe — it costs an index pass the budget no longer
+        // covers.
+        stats.converged = false;
         break;
       }
       const CdsMove move = index.best_move();
@@ -84,87 +54,10 @@ CdsStats run_cds_indexed(Allocation& alloc, const CdsOptions& options) {
       index.apply(move);
       ++stats.iterations;
     }
-    if (!deadline_stop && stats.iterations >= options.max_iterations) {
-      probe_converged = index.best_move().gain <= options.min_gain;
-    }
     stats.moves_evaluated = index.moves_evaluated();
     stats.index_repairs = index.repairs();
   }
-  stats.converged = !deadline_stop && (stats.iterations < options.max_iterations ||
-                                       probe_converged);
   stats.final_cost = alloc.cost();
-  return stats;
-}
-
-CdsStats run_cds_scan(Allocation& alloc, const CdsOptions& options) {
-  CdsStats stats;
-  stats.initial_cost = alloc.cost();
-
-  bool deadline_stop = false;
-  while (stats.iterations < options.max_iterations) {
-    if (options.deadline.expired()) {
-      // Cooperative cancellation: stop where we stand; the convergence probe
-      // below is skipped — it is a full scan the budget no longer covers.
-      deadline_stop = true;
-      break;
-    }
-    CdsMove move;
-    if (options.policy == CdsPolicy::kBestImprovement) {
-      move = best_move(alloc);
-      stats.moves_evaluated += full_scan_evaluations(alloc);
-    } else {
-      std::size_t evaluated = 0;
-      move = first_improving_move(alloc, options.min_gain, evaluated);
-      stats.moves_evaluated += evaluated;
-    }
-    if (move.gain <= options.min_gain) break;  // local optimum (line 18 of CDS)
-    alloc.move(move.item, move.to);
-    ++stats.iterations;
-  }
-
-  const bool hit_cap =
-      !deadline_stop && stats.iterations >= options.max_iterations;
-  if (hit_cap) stats.moves_evaluated += full_scan_evaluations(alloc);
-  stats.converged =
-      !deadline_stop && (!hit_cap || best_move(alloc).gain <= options.min_gain);
-  stats.final_cost = alloc.cost();
-  return stats;
-}
-
-/// The engine actually used: DBS_CDS_ENGINE overrides the caller (so CI can
-/// force-disable the index repo-wide), then kAuto resolves by problem size.
-CdsEngine resolve_engine(const Allocation& alloc, CdsEngine requested) {
-  CdsEngine engine = requested;
-  if (const char* env = std::getenv("DBS_CDS_ENGINE"); env != nullptr && *env != '\0') {
-    const std::string_view v(env);
-    if (v == "scan") {
-      engine = CdsEngine::kScan;
-    } else if (v == "indexed") {
-      engine = CdsEngine::kIndexed;
-    } else {
-      DBS_CHECK_MSG(v == "auto",
-                    "DBS_CDS_ENGINE must be scan, indexed or auto; got " << env);
-      engine = CdsEngine::kAuto;
-    }
-  }
-  if (engine == CdsEngine::kAuto) {
-    engine = alloc.items() * static_cast<std::size_t>(alloc.channels()) >=
-                     kAutoIndexedThreshold
-                 ? CdsEngine::kIndexed
-                 : CdsEngine::kScan;
-  }
-  return engine;
-}
-
-}  // namespace
-
-CdsStats run_cds(Allocation& alloc, const CdsOptions& options) {
-  DBS_OBS_SPAN("core.cds.run");
-  const CdsEngine engine = resolve_engine(alloc, options.engine);
-  const CdsStats stats = engine == CdsEngine::kIndexed &&
-                                 options.policy == CdsPolicy::kBestImprovement
-                             ? run_cds_indexed(alloc, options)
-                             : run_cds_scan(alloc, options);
   DBS_OBS_COUNTER_INC("core.cds.runs");
   DBS_OBS_COUNTER_ADD("core.cds.iterations", stats.iterations);
   DBS_OBS_COUNTER_ADD("core.cds.moves_evaluated", stats.moves_evaluated);

@@ -6,6 +6,14 @@
 //     Δc = f_x (Z_p − Z_q) + z_x (F_p − F_q) − 2 f_x z_x,
 // applies the best strictly-improving move, and stops when no move improves —
 // a local optimum of the cost function under the single-move neighbourhood.
+//
+// run_cds finds each iteration's best move with the candidate index
+// (core/candidate_index.h): Eq. 4 factors into a home potential minus a
+// target load, so each item's best target is its minimum-load channel, and
+// the index keeps that per-item answer exact across moves with one O(N) fold
+// per iteration instead of an O(N·K) rescan. best_move(alloc) below is the
+// exhaustive O(N·K) reference the index is tested against: both evaluate
+// Eq. 4 with the same arithmetic and tie-break order (ARCHITECTURE.md §5).
 #pragma once
 
 #include <cstddef>
@@ -16,50 +24,8 @@
 
 namespace dbs {
 
-/// Move-acceptance policy. The paper scans all K·N·(K−1) moves and applies
-/// the single best one per iteration (best-improvement); first-improvement
-/// applies the first strictly improving move found and is the subject of an
-/// ablation bench.
-enum class CdsPolicy {
-  kBestImprovement,
-  kFirstImprovement,
-};
-
-/// Move-search engine.
-///
-/// kScan re-evaluates all N·(K−1) moves every iteration (the paper's O(K²N)
-/// loop, with our O(1) Δc making it O(NK)). kIndexed maintains a per-item
-/// candidate index (core/candidate_index.h): Eq. 4 factors into a
-/// home-potential minus a target-load term, so each item's best target is
-/// the channel of minimal load; the index caches each item's two
-/// smallest-load channels and repairs them incrementally, making an
-/// iteration O(N + repairs·K) instead of O(N·K). kAuto (the default) picks
-/// kScan below the `kAutoIndexedThreshold` problem size and kIndexed above
-/// it, so small runs keep the scan's bit-exact legacy behavior while the
-/// 10^6-item hot path gets the index.
-///
-/// Both engines evaluate candidate gains with the same Eq. 4 arithmetic and
-/// tie-break order, so on the test workloads they produce identical move
-/// sequences; the index's target selection can differ from the scan only on
-/// floating-point near-ties of the load functional (ARCHITECTURE.md §5).
-///
-/// The environment variable DBS_CDS_ENGINE (values: scan | indexed | auto)
-/// overrides whatever the caller requested — it exists so CI can smoke the
-/// whole suite with the index disabled (the `index-off` job).
-enum class CdsEngine {
-  kScan,
-  kIndexed,
-  kAuto,
-};
-
-/// N·K at and above which kAuto selects the indexed engine.
-inline constexpr std::size_t kAutoIndexedThreshold = std::size_t{1} << 22;
-
 /// CDS tuning knobs; defaults reproduce the paper.
 struct CdsOptions {
-  CdsPolicy policy = CdsPolicy::kBestImprovement;
-  CdsEngine engine = CdsEngine::kAuto;
-
   /// Safety bound on iterations (each iteration applies one move). The cost
   /// strictly decreases every iteration, so termination is guaranteed anyway;
   /// this guards against pathological floating-point drift.
@@ -85,13 +51,14 @@ struct CdsStats {
   bool converged = true;  ///< false iff max_iterations or the deadline
                           ///< stopped the search before a local optimum
 
-  /// Candidate moves whose Δc was computed. This is the real work metric for
-  /// comparing engines: kScan pays N·(K−1) per iteration while kIndexed pays
-  /// only for cache repairs, so equal `iterations` hide very different costs.
+  /// Candidate moves whose Δc was computed: one per item whose best target
+  /// is not its home, once when the index is built and again whenever a
+  /// fold disturbs the item. An exhaustive search would pay N·(K−1) per
+  /// iteration, so equal `iterations` can hide very different costs.
   std::size_t moves_evaluated = 0;
 
-  /// Cache entries recomputed from scratch by the kIndexed engine's repair
-  /// pass (always 0 for kScan, which keeps no cache).
+  /// Per-item best-target pairs the index re-queried from scratch during
+  /// its folds (0 when no move was applied).
   std::size_t index_repairs = 0;
 
   double total_reduction() const { return initial_cost - final_cost; }
@@ -107,12 +74,12 @@ struct CdsMove {
 
 /// \brief Scans all moves and returns the best one (gain may be ≤ 0 if the
 /// allocation is already locally optimal). Deterministic: ties resolve to the
-/// smallest (item, to) pair. O(N·K) with incremental aggregates.
+/// smallest (item, to) pair. O(N·K) brute force — the reference that
+/// run_cds's candidate index must match move for move.
 CdsMove best_move(const Allocation& alloc);
 
 /// \brief Refines `alloc` in place until a local optimum (or the iteration
-/// bound)
-/// is reached. Returns per-run statistics.
+/// bound, or the deadline) is reached. Returns per-run statistics.
 CdsStats run_cds(Allocation& alloc, const CdsOptions& options = {});
 
 }  // namespace dbs

@@ -1,5 +1,6 @@
 #include "model/allocation_io.h"
 
+#include <limits>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
@@ -23,7 +24,10 @@ void store_allocation(std::ostream& out, const Allocation& alloc, double bandwid
   DBS_CHECK(bandwidth > 0.0);
   out << "# dbs-allocation v1\n";
   out << "channels " << alloc.channels() << '\n';
+  const std::streamsize saved_precision =
+      out.precision(std::numeric_limits<double>::max_digits10);
   out << "bandwidth " << bandwidth << '\n';
+  out.precision(saved_precision);
   for (ItemId id = 0; id < alloc.items(); ++id) {
     out << "item " << id << ' ' << alloc.channel_of(id) << '\n';
   }

@@ -32,9 +32,9 @@ void Database::validate_and_normalize() {
   double freq_sum = 0.0;
   for (std::size_t i = 0; i < freq_.size(); ++i) {
     DBS_CHECK_MSG(std::isfinite(size_[i]) && size_[i] > 0.0,
-                  "item " << i << " has non-positive size " << size_[i]);
+                  "item " << i << " has non-finite or non-positive size " << size_[i]);
     DBS_CHECK_MSG(std::isfinite(freq_[i]) && freq_[i] >= 0.0,
-                  "item " << i << " has negative frequency " << freq_[i]);
+                  "item " << i << " has non-finite or negative frequency " << freq_[i]);
     freq_sum += freq_[i];
   }
   DBS_CHECK_MSG(freq_sum > 0.0, "total access frequency must be positive");

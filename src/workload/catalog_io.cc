@@ -1,7 +1,9 @@
 #include "workload/catalog_io.h"
 
 #include <cctype>
+#include <cmath>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -36,6 +38,9 @@ double parse_number(const std::string& field, std::size_t line_number,
     std::size_t used = 0;
     const double value = std::stod(field, &used);
     if (used != field.size()) fail(line_number, std::string("trailing junk in ") + what);
+    if (!std::isfinite(value)) {
+      fail(line_number, std::string("non-finite ") + what + " '" + field + "'");
+    }
     return value;
   } catch (const std::invalid_argument&) {
     fail(line_number, std::string("non-numeric ") + what + " '" + field + "'");
@@ -84,10 +89,20 @@ Catalog load_catalog_file(const std::string& path) {
 }
 
 void store_catalog(std::ostream& out, const Catalog& catalog) {
+  // Refuse, before writing anything, a name the loader would split or cut.
+  for (ItemId id = 0; id < catalog.database.size(); ++id) {
+    if (catalog.name_of(id).find_first_of(",\n\r") != std::string::npos) {
+      throw std::invalid_argument("catalog: item " + std::to_string(id) +
+                                  " has a name containing ',', '\\n' or '\\r'");
+    }
+  }
+  const std::streamsize saved_precision =
+      out.precision(std::numeric_limits<double>::max_digits10);
   out << "size,freq,name\n";
   for (const Item& it : catalog.database.items()) {
     out << it.size << ',' << it.freq << ',' << catalog.name_of(it.id) << '\n';
   }
+  out.precision(saved_precision);
 }
 
 }  // namespace dbs

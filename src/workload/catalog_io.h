@@ -26,15 +26,18 @@ struct Catalog {
 };
 
 /// Parses a catalogue from a stream. Throws std::runtime_error with the
-/// offending line number on malformed input (bad field count, non-numeric or
-/// non-positive size, negative frequency).
+/// offending line number on malformed input (bad field count, non-numeric,
+/// non-finite or non-positive size, non-numeric, non-finite or negative
+/// frequency).
 Catalog load_catalog(std::istream& in);
 
 /// Loads a catalogue from a file path. Throws std::runtime_error if the file
 /// cannot be opened or parsed.
 Catalog load_catalog_file(const std::string& path);
 
-/// Writes a catalogue in the same format (with header).
+/// Writes a catalogue in the same format (with header), with enough digits
+/// that sizes reload bit-identical. Throws std::invalid_argument naming the
+/// item if a name contains ',', '\n' or '\r', which the loader would reject.
 void store_catalog(std::ostream& out, const Catalog& catalog);
 
 }  // namespace dbs

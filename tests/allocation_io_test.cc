@@ -14,11 +14,11 @@ TEST(AllocationIo, RoundTrip) {
   const Database db = generate_database({.items = 30, .diversity = 2.0, .seed = 1});
   const Allocation original = run_drp_cds(db, 4).allocation;
   std::ostringstream out;
-  store_allocation(out, original, 12.5);
+  store_allocation(out, original, 1.0 / 3);
   std::istringstream in(out.str());
   const StoredAllocation loaded = load_allocation(in, db);
   EXPECT_EQ(loaded.allocation.assignment(), original.assignment());
-  EXPECT_DOUBLE_EQ(loaded.bandwidth, 12.5);
+  EXPECT_EQ(loaded.bandwidth, 1.0 / 3) << "bandwidth must reload bit-identical";
   EXPECT_DOUBLE_EQ(loaded.allocation.cost(), original.cost());
 }
 

@@ -1,0 +1,23 @@
+// Brute-force CDS, the oracle run_cds must match move for move: the
+// paper's loop over the exhaustive O(N·K) best_move(alloc).
+#pragma once
+
+#include <cstddef>
+
+#include "core/cds.h"
+
+namespace dbs {
+
+/// Applies best_move(alloc) while its gain exceeds run_cds's default
+/// min_gain; returns the number of moves applied.
+inline std::size_t brute_force_cds(Allocation& alloc) {
+  const double min_gain = CdsOptions{}.min_gain;
+  std::size_t iterations = 0;
+  for (CdsMove move = best_move(alloc); move.gain > min_gain; move = best_move(alloc)) {
+    alloc.move(move.item, move.to);
+    ++iterations;
+  }
+  return iterations;
+}
+
+}  // namespace dbs

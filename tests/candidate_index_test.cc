@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstddef>
+#include <cstdlib>
+#include <new>
 #include <vector>
 
 #include "common/check.h"
@@ -11,11 +14,27 @@
 #include "core/drp.h"
 #include "workload/generator.h"
 
+// Counts this binary's heap allocations, so a test can prove that a code
+// path allocates nothing. Each replaced new has its matching delete, which
+// keeps the sanitizers' new/delete pairing intact; the deletes stay out of
+// line so GCC does not mistake their free() for a mismatched pair.
+static std::atomic<std::size_t> g_heap_allocations{0};
+void* operator new(std::size_t bytes, const std::nothrow_t&) noexcept {
+  g_heap_allocations.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(bytes == 0 ? 1 : bytes);
+}
+void* operator new(std::size_t bytes) {
+  if (void* p = operator new(bytes, std::nothrow)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+
 namespace dbs {
 namespace {
 
 // The index's one correctness obligation: at every step its best_move() must
-// equal the scan engine's exhaustive best_move() — same item, same target,
+// equal the exhaustive best_move(alloc) scan — same item, same target,
 // bit-identical gain (both compute Eq. 4 with the same expression).
 void expect_matches_scan(Allocation& alloc, CandidateIndex& index,
                          const char* context) {
@@ -107,6 +126,19 @@ TEST(CandidateIndex, CountsWorkAndRepairs) {
   index.best_move();  // folds the pending move
   EXPECT_GT(index.repairs(), 0u) << "a move must disturb at least its own pair";
   EXPECT_GT(index.moves_evaluated(), evals_at_build);
+}
+
+TEST(CandidateIndex, FoldsAllocateNothing) {
+  // 500 folds at K = 64 rebuild the hull and collect disturbed items in
+  // scratch sized at construction.
+  const Database db = generate_database({.items = 2000, .diversity = 2.0, .seed = 27});
+  Allocation alloc(db, 64);
+  CandidateIndex index(alloc);
+  const std::size_t before = g_heap_allocations.load();
+  for (int fold = 0; fold < 500; ++fold) index.apply(index.best_move());
+  index.best_move();
+  EXPECT_EQ(g_heap_allocations.load() - before, 0u);
+  EXPECT_GT(index.repairs(), 500u) << "the folds must have done real repairs";
 }
 
 TEST(CandidateIndex, RequiresTwoChannels) {

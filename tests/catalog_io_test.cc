@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <sstream>
+
+#include "core/drp_cds.h"
+#include "workload/generator.h"
 
 namespace dbs {
 namespace {
@@ -35,29 +40,10 @@ TEST(CatalogIo, HeaderIsOptional) {
 }
 
 TEST(CatalogIo, RejectsMalformedLines) {
-  {
-    std::istringstream in("1\n");
-    EXPECT_THROW(load_catalog(in), std::runtime_error);
-  }
-  {
-    std::istringstream in("1,2,3,4\n");
-    EXPECT_THROW(load_catalog(in), std::runtime_error);
-  }
-  {
-    std::istringstream in("abc,0.5\n");
-    EXPECT_THROW(load_catalog(in), std::runtime_error);
-  }
-  {
-    std::istringstream in("1.5x,0.5\n");
-    EXPECT_THROW(load_catalog(in), std::runtime_error);
-  }
-  {
-    std::istringstream in("-2,0.5\n");
-    EXPECT_THROW(load_catalog(in), std::runtime_error);
-  }
-  {
-    std::istringstream in("2,-0.5\n");
-    EXPECT_THROW(load_catalog(in), std::runtime_error);
+  for (const char* bad : {"1", "1,2,3,4", "abc,0.5", "1.5x,0.5", "-2,0.5", "2,-0.5",
+                          "nan,0.5", "inf,0.5", "-inf,0.5", "2,nan", "2,inf", "2,-inf"}) {
+    std::istringstream in(std::string(bad) + "\n");
+    EXPECT_THROW(load_catalog(in), std::runtime_error) << bad;
   }
 }
 
@@ -93,6 +79,38 @@ TEST(CatalogIo, StoreLoadRoundTrip) {
     EXPECT_NEAR(reloaded.database.item(id).freq, original.database.item(id).freq, 1e-12);
     EXPECT_EQ(reloaded.name_of(id), original.name_of(id));
   }
+
+  // Generated: sizes reload bit-identical; frequencies (re-normalised by a
+  // sum of 1 ± a few ulp) and the planned cost within 1e-15 relative.
+  const Catalog generated{generate_database({.items = 2000, .diversity = 2.0, .seed = 7}), {}};
+  std::ostringstream big_out;
+  store_catalog(big_out, generated);
+  std::istringstream big_in(big_out.str());
+  const Database big = load_catalog(big_in).database;
+  ASSERT_EQ(big.size(), generated.database.size());
+  std::size_t changed_sizes = 0;
+  double freq_drift = 0.0;
+  for (ItemId id = 0; id < big.size(); ++id) {
+    const Item& want = generated.database.item(id);
+    changed_sizes += big.item(id).size != want.size;
+    freq_drift = std::max(freq_drift, std::abs(big.item(id).freq / want.freq - 1.0));
+  }
+  EXPECT_EQ(changed_sizes, 0u);
+  EXPECT_LE(freq_drift, 1e-15);
+  const double cost = run_drp_cds(generated.database, 10).allocation.cost();
+  EXPECT_LE(std::abs(run_drp_cds(big, 10).allocation.cost() / cost - 1.0), 1e-15);
+}
+
+TEST(CatalogIo, StoreRejectsNamesTheLoaderWouldSplit) {
+  const Catalog catalog{Database({1.0, 2.0}, {0.5, 0.5}), {"plain", "a,b"}};
+  std::ostringstream out;
+  try {
+    store_catalog(out, catalog);
+    ADD_FAILURE() << "stored a name containing a comma";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("item 1"), std::string::npos) << e.what();
+  }
+  EXPECT_TRUE(out.str().empty()) << "nothing may be written before the refusal";
 }
 
 TEST(CatalogIo, LoadsPaperSampleFromRepo) {

@@ -7,6 +7,7 @@
 
 #include "baselines/brute_force.h"
 #include "baselines/ordered_dp.h"
+#include "brute_cds.h"
 #include "core/cds.h"
 #include "core/drp.h"
 #include "core/partition.h"
@@ -98,7 +99,7 @@ TEST(FuzzDifferential, OrderedDpNeverBeatsBruteForceAndNeverLosesToDrp) {
   }
 }
 
-TEST(FuzzDifferential, CdsEnginesIdenticalOnRandomInstances) {
+TEST(FuzzDifferential, CdsMatchesBruteForceOnRandomInstances) {
   Rng rng(104);
   for (int instance = 0; instance < 20; ++instance) {
     const Database db = random_db(rng, 40);
@@ -106,11 +107,11 @@ TEST(FuzzDifferential, CdsEnginesIdenticalOnRandomInstances) {
         1 + static_cast<ChannelId>(rng.below(std::min<std::size_t>(6, db.size())));
     std::vector<ChannelId> start(db.size());
     for (auto& c : start) c = static_cast<ChannelId>(rng.below(k));
-    Allocation a(db, k, start);
-    Allocation b = a;
-    run_cds(a, {.engine = CdsEngine::kScan});
-    run_cds(b, {.engine = CdsEngine::kIndexed});
-    EXPECT_EQ(a.assignment(), b.assignment()) << "instance " << instance;
+    Allocation brute(db, k, start);
+    Allocation indexed = brute;
+    const std::size_t brute_moves = brute_force_cds(brute);
+    EXPECT_EQ(run_cds(indexed).iterations, brute_moves) << "instance " << instance;
+    EXPECT_EQ(brute.assignment(), indexed.assignment()) << "instance " << instance;
   }
 }
 

@@ -20,9 +20,11 @@ Enforces project invariants that clang-tidy cannot express:
                      macro availability must never ride on transitive
                      includes.
   determinism        src/ must not call std::rand / rand / srand /
-                     std::random_device or read wall-clock `time(` — all
-                     randomness flows through the seeded dbs::Rng layer so
-                     every experiment replays bit-for-bit.
+                     std::random_device, read wall-clock `time(`, or read
+                     the environment with `getenv(` — all randomness flows
+                     through the seeded dbs::Rng layer and every setting
+                     through an options struct, so every experiment replays
+                     bit-for-bit whatever the caller's shell exports.
   detail-isolation   tests/ and bench/ must not name `detail::` symbols;
                      the detail namespaces are internal and not part of the
                      tested surface.
@@ -192,24 +194,28 @@ def rule_check_iwyu(path: Path, text: str, stripped: str, findings):
 # Rule: determinism
 # --------------------------------------------------------------------------
 
+USE_RNG = "draw from dbs::Rng (src/common/rng.h) instead"
 NONDETERMINISM_RES = (
-    (re.compile(r"(?<![A-Za-z0-9_:])s?rand\s*\("), "rand()/srand()"),
-    (re.compile(r"\bstd::rand\b"), "std::rand"),
-    (re.compile(r"\bstd::random_device\b"), "std::random_device"),
-    (re.compile(r"(?<![A-Za-z0-9_.>])time\s*\("), "wall-clock time()"),
+    (re.compile(r"(?<![A-Za-z0-9_:])s?rand\s*\("), "rand()/srand()", USE_RNG),
+    (re.compile(r"\bstd::rand\b"), "std::rand", USE_RNG),
+    (re.compile(r"\bstd::random_device\b"), "std::random_device", USE_RNG),
+    (re.compile(r"(?<![A-Za-z0-9_.>])time\s*\("), "wall-clock time()", USE_RNG),
+    (re.compile(r"(?<![A-Za-z0-9_])(?:secure_)?getenv\s*\("),
+     "an environment read (getenv)",
+     "pass the value through an options struct instead, so a seeded result "
+     "cannot depend on the caller's shell"),
 )
 
 
 def rule_determinism(path: Path, stripped: str, lines, findings):
-    for regex, what in NONDETERMINISM_RES:
+    for regex, what, advice in NONDETERMINISM_RES:
         for m in regex.finditer(stripped):
             ln = line_of(stripped, m.start())
             if suppressed(lines, ln, "determinism"):
                 continue
             findings.append(
                 Finding("determinism", path, ln,
-                        f"{what} breaks replayability; draw from dbs::Rng "
-                        "(src/common/rng.h) instead"))
+                        f"{what} breaks replayability; {advice}"))
 
 
 # --------------------------------------------------------------------------
