@@ -13,9 +13,10 @@ namespace {
 
 void print_groups(const dbs::Allocation& alloc, const char* title) {
   std::printf("%s (total cost %.2f)\n", title, alloc.cost());
+  const std::vector<std::vector<dbs::ItemId>> members = alloc.members();
   for (dbs::ChannelId c = 0; c < alloc.channels(); ++c) {
     std::printf("  group %u (cost %6.2f):", c + 1, alloc.channel_cost(c));
-    for (dbs::ItemId id : alloc.items_in(c)) std::printf(" d%u", id + 1);
+    for (dbs::ItemId id : members[c]) std::printf(" d%u", id + 1);
     std::printf("\n");
   }
 }

@@ -48,7 +48,7 @@ BENCHMARK(BM_WorkloadGeneration)->Range(64, 4096);
 void BM_PartitionScan(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const Database db = make_db(n);
-  const auto order = db.ids_by_benefit_ratio_desc();
+  const auto& order = db.benefit_order();
   const PrefixSums sums(db, order);
   for (auto _ : state) {
     benchmark::DoNotOptimize(best_split(sums, 0, n));

@@ -106,11 +106,12 @@ int cmd_schedule(const std::map<std::string, std::string>& flags) {
   std::printf("algorithm: %s   cost: %.4f   W_b: %.4f s   runtime: %.3f ms\n",
               algo_name.c_str(), result.cost, result.waiting_time,
               result.elapsed_ms);
+  const std::vector<std::vector<ItemId>> members = result.allocation.members();
   for (ChannelId c = 0; c < request.channels; ++c) {
     std::printf("channel %u (F=%.4f, Z=%.2f, cycle=%.2f s):\n", c + 1,
                 result.allocation.freq_of(c), result.allocation.size_of(c),
                 result.allocation.size_of(c) / request.bandwidth);
-    for (ItemId id : result.allocation.items_in(c)) {
+    for (ItemId id : members[c]) {
       std::printf("  %-24s z=%-10.3f f=%.5f\n", catalog.name_of(id).c_str(),
                   catalog.database.item(id).size, catalog.database.item(id).freq);
     }

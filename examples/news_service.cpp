@@ -70,11 +70,12 @@ int main() {
   }
 
   std::puts("\nbest layout found:");
+  const std::vector<std::vector<ItemId>> members = best.allocation.members();
   for (ChannelId c = 0; c < kChannels; ++c) {
     std::printf("  channel %u  (cycle %.1f s, F=%.3f):\n", c + 1,
                 best.allocation.size_of(c) / kBandwidthMbps,
                 best.allocation.freq_of(c));
-    for (ItemId id : best.allocation.items_in(c)) {
+    for (ItemId id : members[c]) {
       std::printf("    %-22s %7.2f MB  f=%.4f\n", kCatalogue[id].name,
                   db.item(id).size, db.item(id).freq);
     }

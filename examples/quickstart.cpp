@@ -22,10 +22,11 @@ int main() {
 
   std::printf("cost (sum F_i*Z_i): %.4f\n", result.cost);
   std::printf("expected waiting time W_b: %.4f s\n", result.waiting_time);
+  const std::vector<std::vector<dbs::ItemId>> members = result.allocation.members();
   for (dbs::ChannelId c = 0; c < request.channels; ++c) {
     std::printf("channel %u (F=%.3f, Z=%.1f):", c, result.allocation.freq_of(c),
                 result.allocation.size_of(c));
-    for (dbs::ItemId id : result.allocation.items_in(c)) {
+    for (dbs::ItemId id : members[c]) {
       std::printf(" d%u", id + 1);
     }
     std::printf("\n");

@@ -8,15 +8,10 @@
 namespace dbs {
 namespace {
 
-/// Frequency-weighted mean download time of channel c: Σ f z / (b F).
+/// Frequency-weighted mean download time of channel c: P_i / (b F_i).
 double mean_download(const Allocation& alloc, ChannelId c, double bandwidth) {
-  double weighted = 0.0;
-  for (ItemId id : alloc.items_in(c)) {
-    const Item& it = alloc.database().item(id);
-    weighted += it.freq * it.size;
-  }
   const double f = alloc.freq_of(c);
-  return f > 0.0 ? weighted / (bandwidth * f) : 0.0;
+  return f > 0.0 ? alloc.weighted_size_of(c) / (bandwidth * f) : 0.0;
 }
 
 }  // namespace

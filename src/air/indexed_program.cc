@@ -24,8 +24,9 @@ IndexedProgram::IndexedProgram(const Allocation& alloc, double bandwidth,
   item_channel_.assign(db_->size(), 0);
   item_slot_.assign(db_->size(), 0);
 
+  const std::vector<std::vector<ItemId>> members = alloc.members();
   for (ChannelId c = 0; c < k; ++c) {
-    const std::vector<ItemId> ids = alloc.items_in(c);
+    const std::vector<ItemId>& ids = members[c];
     if (ids.empty()) continue;
     std::size_t m = config.replication;
     if (optimal_m) m = optimal_replication(alloc, c, bandwidth, config);

@@ -56,6 +56,9 @@ ScheduleResult schedule(const Database& db, const ScheduleRequest& request) {
   DBS_CHECK_MSG(request.channels >= 1, "schedule() needs at least one channel");
   DBS_CHECK_MSG(request.bandwidth > 0.0, "schedule() needs positive bandwidth");
   DBS_CHECK_MSG(db.size() > 0, "schedule() needs a non-empty catalogue");
+  DBS_CHECK_MSG(request.channels <= db.size(),
+                "schedule() needs K <= N, got K=" << request.channels
+                                                  << " for N=" << db.size());
   Stopwatch watch;
   std::optional<Allocation> alloc;
 

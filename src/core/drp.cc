@@ -15,7 +15,7 @@ namespace {
 std::vector<ItemId> ordered_ids(const Database& db, ItemOrdering ordering) {
   switch (ordering) {
     case ItemOrdering::kBenefitRatioDesc:
-      return db.ids_by_benefit_ratio_desc();
+      return db.benefit_order();
     case ItemOrdering::kFreqDesc:
       return db.ids_by_freq_desc();
     case ItemOrdering::kSizeAsc: {

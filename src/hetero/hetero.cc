@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <span>
 
 #include "common/check.h"
 #include "core/drp.h"
@@ -15,101 +16,59 @@ void check_bandwidths(const Allocation& alloc, const std::vector<double>& bandwi
   for (double b : bandwidths) DBS_CHECK_MSG(b > 0.0, "bandwidths must be positive");
 }
 
-/// Incremental state for the heterogeneous local search: per-channel
-/// aggregate frequency F, size Z and download sum P = Σ f·z.
-class HeteroSearch {
- public:
-  HeteroSearch(Allocation& alloc, const std::vector<double>& bandwidths)
-      : alloc_(alloc), bandwidths_(bandwidths), freq_(alloc.channels(), 0.0),
-        size_(alloc.channels(), 0.0), download_(alloc.channels(), 0.0) {
-    const Database& db = alloc.database();
-    for (ItemId id = 0; id < db.size(); ++id) {
-      const Item& it = db.item(id);
-      const ChannelId c = alloc.channel_of(id);
-      freq_[c] += it.freq;
-      size_[c] += it.size;
-      download_[c] += it.freq * it.size;
-    }
-  }
+/// Generalized Eq. (4) gain of moving `id` to channel `to`, read from the
+/// allocation's F, Z and P columns in O(1). Arguments are not checked.
+double move_gain_unchecked(const Allocation& alloc, const std::vector<double>& bandwidths,
+                           ItemId id, ChannelId to) {
+  const ChannelId from = alloc.assignment()[id];
+  if (from == to) return 0.0;
+  const std::span<const double> freq = alloc.channel_freqs();
+  const std::span<const double> size = alloc.channel_sizes();
+  const double f = alloc.database().freqs()[id];
+  const double z = alloc.database().sizes()[id];
+  const double fz = f * z;
+  const double lost =
+      ((f * size[from] + z * freq[from] - fz) / 2.0 + fz) / bandwidths[from];
+  const double gained = ((f * size[to] + z * freq[to] + fz) / 2.0 + fz) / bandwidths[to];
+  return lost - gained;
+}
 
-  double wait() const {
-    double w = 0.0;
-    for (ChannelId c = 0; c < alloc_.channels(); ++c) {
-      w += (freq_[c] * size_[c] / 2.0 + download_[c]) / bandwidths_[c];
-    }
-    return w;
-  }
-
-  /// Generalized Eq. (4) gain of moving `id` to channel `to` (O(1)).
-  double gain(ItemId id, ChannelId to) const {
-    const ChannelId from = alloc_.channel_of(id);
-    if (from == to) return 0.0;
-    const Item& it = alloc_.database().item(id);
-    const double fz = it.freq * it.size;
-    const double lost = ((it.freq * size_[from] + it.size * freq_[from] - fz) / 2.0 +
-                         fz) / bandwidths_[from];
-    const double gained = ((it.freq * size_[to] + it.size * freq_[to] + fz) / 2.0 +
-                           fz) / bandwidths_[to];
-    return lost - gained;
-  }
-
-  void apply(ItemId id, ChannelId to) {
-    const ChannelId from = alloc_.channel_of(id);
-    const Item& it = alloc_.database().item(id);
-    freq_[from] -= it.freq;
-    size_[from] -= it.size;
-    download_[from] -= it.freq * it.size;
-    freq_[to] += it.freq;
-    size_[to] += it.size;
-    download_[to] += it.freq * it.size;
-    alloc_.move(id, to);
-  }
-
-  /// Best-improvement sweep; returns moves applied.
-  std::size_t run(double min_gain = 1e-12) {
-    std::size_t moves = 0;
-    while (true) {
-      ItemId best_item = 0;
-      ChannelId best_to = 0;
-      double best_gain = 0.0;
-      bool have = false;
-      for (ItemId id = 0; id < alloc_.items(); ++id) {
-        for (ChannelId c = 0; c < alloc_.channels(); ++c) {
-          if (c == alloc_.channel_of(id)) continue;
-          const double g = gain(id, c);
-          if (!have || g > best_gain) {
-            have = true;
-            best_gain = g;
-            best_item = id;
-            best_to = c;
-          }
+/// Best-improvement local search on the generalized Δ; returns moves applied.
+std::size_t improve_to_local_optimum(Allocation& alloc,
+                                     const std::vector<double>& bandwidths,
+                                     double min_gain = 1e-12) {
+  std::size_t moves = 0;
+  while (true) {
+    ItemId best_item = 0;
+    ChannelId best_to = 0;
+    double best_gain = 0.0;
+    bool have = false;
+    for (ItemId id = 0; id < alloc.items(); ++id) {
+      for (ChannelId c = 0; c < alloc.channels(); ++c) {
+        if (c == alloc.assignment()[id]) continue;
+        const double g = move_gain_unchecked(alloc, bandwidths, id, c);
+        if (!have || g > best_gain) {
+          have = true;
+          best_gain = g;
+          best_item = id;
+          best_to = c;
         }
       }
-      if (!have || best_gain <= min_gain) return moves;
-      apply(best_item, best_to);
-      ++moves;
     }
+    if (!have || best_gain <= min_gain) return moves;
+    alloc.move(best_item, best_to);
+    ++moves;
   }
-
- private:
-  Allocation& alloc_;
-  const std::vector<double>& bandwidths_;
-  std::vector<double> freq_, size_, download_;
-};
+}
 
 }  // namespace
 
 double hetero_wait(const Allocation& alloc, const std::vector<double>& bandwidths) {
   check_bandwidths(alloc, bandwidths);
-  const Database& db = alloc.database();
-  std::vector<double> download(alloc.channels(), 0.0);
-  for (ItemId id = 0; id < db.size(); ++id) {
-    const Item& it = db.item(id);
-    download[alloc.channel_of(id)] += it.freq * it.size;
-  }
   double w = 0.0;
   for (ChannelId c = 0; c < alloc.channels(); ++c) {
-    w += (alloc.freq_of(c) * alloc.size_of(c) / 2.0 + download[c]) / bandwidths[c];
+    w += (alloc.freq_of(c) * alloc.size_of(c) / 2.0 + alloc.weighted_size_of(c)) /
+         bandwidths[c];
   }
   return w;
 }
@@ -120,17 +79,7 @@ double hetero_move_gain(const Allocation& alloc,
   check_bandwidths(alloc, bandwidths);
   DBS_CHECK(item < alloc.items());
   DBS_CHECK(to < alloc.channels());
-  const ChannelId from = alloc.channel_of(item);
-  if (from == to) return 0.0;
-  const Item& it = alloc.database().item(item);
-  const double fz = it.freq * it.size;
-  const double lost =
-      ((it.freq * alloc.size_of(from) + it.size * alloc.freq_of(from) - fz) / 2.0 +
-       fz) / bandwidths[from];
-  const double gained =
-      ((it.freq * alloc.size_of(to) + it.size * alloc.freq_of(to) + fz) / 2.0 + fz) /
-      bandwidths[to];
-  return lost - gained;
+  return move_gain_unchecked(alloc, bandwidths, item, to);
 }
 
 HeteroResult schedule_hetero(const Database& db,
@@ -141,13 +90,10 @@ HeteroResult schedule_hetero(const Database& db,
 
   // Step 1: DRP grouping, then heaviest group -> fastest channel.
   DrpResult drp = run_drp(db, k);
-  std::vector<double> group_load(k, 0.0);  // F·Z/2 + P per DRP channel
-  for (ItemId id = 0; id < db.size(); ++id) {
-    const Item& it = db.item(id);
-    group_load[drp.allocation.channel_of(id)] += it.freq * it.size;
-  }
+  std::vector<double> group_load(k, 0.0);  // P + F·Z/2 per DRP channel
   for (ChannelId c = 0; c < k; ++c) {
-    group_load[c] += drp.allocation.freq_of(c) * drp.allocation.size_of(c) / 2.0;
+    group_load[c] = drp.allocation.weighted_size_of(c) +
+                    drp.allocation.freq_of(c) * drp.allocation.size_of(c) / 2.0;
   }
 
   std::vector<ChannelId> groups_by_load(k), channels_by_bw(k);
@@ -167,9 +113,8 @@ HeteroResult schedule_hetero(const Database& db,
   Allocation alloc(db, k, std::move(assignment));
 
   // Step 2: generalized-Δ local search to a local optimum.
-  HeteroSearch search(alloc, bandwidths);
-  const std::size_t moves = search.run();
-  const double wait = search.wait();
+  const std::size_t moves = improve_to_local_optimum(alloc, bandwidths);
+  const double wait = hetero_wait(alloc, bandwidths);
   return HeteroResult{std::move(alloc), wait, moves};
 }
 

@@ -41,7 +41,9 @@ HeteroResult schedule_hetero(const Database& db,
                              const std::vector<double>& bandwidths);
 
 /// The generalized move reduction (positive = the move lowers W). Exposed
-/// for tests; O(N) because it recomputes the per-channel download sums.
+/// for tests; O(1) after an O(K) bandwidth check, since F, Z and P are the
+/// allocation's maintained columns. schedule_hetero's search uses the same
+/// formula.
 double hetero_move_gain(const Allocation& alloc,
                         const std::vector<double>& bandwidths, ItemId item,
                         ChannelId to);

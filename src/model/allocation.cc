@@ -22,6 +22,7 @@ Allocation::Allocation(const Database& db, ChannelId channels,
   freq_.assign(channels_, 0.0);
   size_.assign(channels_, 0.0);
   count_.assign(channels_, 0);
+  weighted_.assign(channels_, 0.0);
   const std::span<const double> f = db.freqs();
   const std::span<const double> z = db.sizes();
   for (ItemId id = 0; id < assignment_.size(); ++id) {
@@ -31,6 +32,7 @@ Allocation::Allocation(const Database& db, ChannelId channels,
     freq_[c] += f[id];
     size_[c] += z[id];
     ++count_[c];
+    weighted_[c] += f[id] * z[id];
   }
 }
 
@@ -54,6 +56,11 @@ std::size_t Allocation::count_of(ChannelId c) const {
   return count_[c];
 }
 
+double Allocation::weighted_size_of(ChannelId c) const {
+  DBS_CHECK(c < channels_);
+  return weighted_[c];
+}
+
 void Allocation::move(ItemId id, ChannelId to) {
   DBS_CHECK(id < assignment_.size());
   DBS_CHECK(to < channels_);
@@ -61,12 +68,15 @@ void Allocation::move(ItemId id, ChannelId to) {
   if (from == to) return;
   const double f = db_->freqs()[id];
   const double z = db_->sizes()[id];
+  const double fz = f * z;
   freq_[from] -= f;
   size_[from] -= z;
   --count_[from];
+  weighted_[from] -= fz;
   freq_[to] += f;
   size_[to] += z;
   ++count_[to];
+  weighted_[to] += fz;
   assignment_[id] = to;
 }
 
@@ -108,14 +118,13 @@ double Allocation::move_gain(ItemId id, ChannelId to) const {
          2.0 * f * z;
 }
 
-std::vector<ItemId> Allocation::items_in(ChannelId c) const {
-  DBS_CHECK(c < channels_);
-  std::vector<ItemId> ids;
-  ids.reserve(count_[c]);
+std::vector<std::vector<ItemId>> Allocation::members() const {
+  std::vector<std::vector<ItemId>> lists(channels_);
+  for (ChannelId c = 0; c < channels_; ++c) lists[c].reserve(count_[c]);
   for (ItemId id = 0; id < assignment_.size(); ++id) {
-    if (assignment_[id] == c) ids.push_back(id);
+    lists[assignment_[id]].push_back(id);
   }
-  return ids;
+  return lists;
 }
 
 bool Allocation::validate(std::string* error) const {
@@ -127,6 +136,7 @@ bool Allocation::validate(std::string* error) const {
   std::vector<double> f(channels_, 0.0);
   std::vector<double> z(channels_, 0.0);
   std::vector<std::size_t> n(channels_, 0);
+  std::vector<double> p(channels_, 0.0);
   for (ItemId id = 0; id < assignment_.size(); ++id) {
     const ChannelId c = assignment_[id];
     if (c >= channels_) {
@@ -137,11 +147,13 @@ bool Allocation::validate(std::string* error) const {
     f[c] += db_->freqs()[id];
     z[c] += db_->sizes()[id];
     ++n[c];
+    p[c] += db_->freqs()[id] * db_->sizes()[id];
   }
   constexpr double kTol = 1e-9;
   for (ChannelId c = 0; c < channels_; ++c) {
     if (n[c] != count_[c] || std::abs(f[c] - freq_[c]) > kTol ||
-        std::abs(z[c] - size_[c]) > kTol * (1.0 + z[c])) {
+        std::abs(z[c] - size_[c]) > kTol * (1.0 + z[c]) ||
+        std::abs(p[c] - weighted_[c]) > kTol * (1.0 + p[c])) {
       std::ostringstream os;
       os << "cached aggregates for channel " << c << " diverge from recomputation";
       return fail(os.str());

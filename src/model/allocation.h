@@ -14,13 +14,17 @@ namespace dbs {
 /// Mutable partition of a Database's items into K disjoint channel groups.
 ///
 /// Maintains per-channel aggregates incrementally:
-///   F_i = Σ_{j ∈ D_i} f_j   (aggregate frequency, Definition 3)
-///   Z_i = Σ_{j ∈ D_i} z_j   (aggregate size,      Definition 4)
-/// so the paper's cost Σ F_i·Z_i and the Δc of a move (Eq. 4) are O(1).
+///   F_i = Σ_{j ∈ D_i} f_j       (aggregate frequency, Definition 3)
+///   Z_i = Σ_{j ∈ D_i} z_j       (aggregate size,      Definition 4)
+///   P_i = Σ_{j ∈ D_i} f_j·z_j   (download term of W^(i), Eqs. 1-2)
+/// so the paper's cost Σ F_i·Z_i, the Δc of a move (Eq. 4) and a channel's
+/// waiting time are O(1).
 ///
 /// Like the Database, the aggregates are stored columnar: channel_freqs()
 /// and channel_sizes() expose F and Z as contiguous spans so CDS's move
-/// search streams over them (docs/ARCHITECTURE.md §3).
+/// search streams over them (docs/ARCHITECTURE.md §3). Allocation is the
+/// only place per-channel views are derived from the assignment column:
+/// members() lists every channel's items in one pass.
 ///
 /// The referenced Database must outlive the Allocation.
 class Allocation {
@@ -51,6 +55,9 @@ class Allocation {
   double size_of(ChannelId c) const;
   /// \brief Number of items allocated to channel i (the paper's N_i).
   std::size_t count_of(ChannelId c) const;
+  /// \brief Frequency-weighted size P_i = Σ f_j·z_j of channel i (named
+  /// after Database::weighted_size()).
+  double weighted_size_of(ChannelId c) const;
 
   /// \brief The aggregate-frequency column F, indexed by ChannelId.
   std::span<const double> channel_freqs() const { return freq_; }
@@ -79,9 +86,11 @@ class Allocation {
   /// performing the move. Positive Δc means the move reduces total cost.
   double move_gain(ItemId id, ChannelId to) const;
 
-  /// \brief Item ids currently assigned to channel c, in ascending id
-  /// order. O(N).
-  std::vector<ItemId> items_in(ChannelId c) const;
+  /// \brief Every channel's item ids, in ascending id order: members()[c]
+  /// lists channel c (empty for an empty channel). One O(N + K) pass, so
+  /// call it once before a channel loop and bind the result to a local —
+  /// `for (ItemId id : alloc.members()[c])` iterates a destroyed temporary.
+  std::vector<std::vector<ItemId>> members() const;
 
   /// \brief True iff every item is assigned to exactly one in-range channel
   /// and the cached aggregates match a from-scratch recomputation.
@@ -98,6 +107,7 @@ class Allocation {
   std::vector<double> freq_;          // F_i per channel
   std::vector<double> size_;          // Z_i per channel
   std::vector<std::size_t> count_;    // N_i per channel
+  std::vector<double> weighted_;      // P_i per channel
 };
 
 }  // namespace dbs

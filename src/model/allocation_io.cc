@@ -1,5 +1,6 @@
 #include "model/allocation_io.h"
 
+#include <cstdint>
 #include <limits>
 #include <optional>
 #include <sstream>
@@ -50,8 +51,14 @@ StoredAllocation load_allocation(std::istream& in, const Database& db) {
     if (!(fields >> keyword) || keyword.front() == '#') continue;
 
     if (keyword == "channels") {
-      unsigned long value = 0;
-      if (!(fields >> value) || value == 0) fail(line_number, "bad channel count");
+      // Signed, so "-1" is rejected instead of wrapping to 2^64 - 1, and
+      // range-checked (1 ≤ K ≤ N) before the narrowing cast to ChannelId.
+      std::int64_t value = 0;
+      if (!(fields >> value) || value < 1 ||
+          static_cast<std::size_t>(value) > db.size()) {
+        fail(line_number,
+             "bad channel count (need 1.." + std::to_string(db.size()) + ")");
+      }
       channels = static_cast<ChannelId>(value);
     } else if (keyword == "bandwidth") {
       if (!(fields >> bandwidth) || bandwidth <= 0.0) {
@@ -59,11 +66,13 @@ StoredAllocation load_allocation(std::istream& in, const Database& db) {
       }
     } else if (keyword == "item") {
       if (!channels.has_value()) fail(line_number, "'item' before 'channels'");
-      unsigned long id = 0;
-      unsigned long channel = 0;
+      std::int64_t id = 0;
+      std::int64_t channel = 0;
       if (!(fields >> id >> channel)) fail(line_number, "expected 'item ID CHANNEL'");
-      if (id >= db.size()) fail(line_number, "unknown item id " + std::to_string(id));
-      if (channel >= *channels) {
+      if (id < 0 || static_cast<std::size_t>(id) >= db.size()) {
+        fail(line_number, "unknown item id " + std::to_string(id));
+      }
+      if (channel < 0 || channel >= *channels) {
         fail(line_number, "channel " + std::to_string(channel) + " out of range");
       }
       if (seen[id]) fail(line_number, "item " + std::to_string(id) + " assigned twice");

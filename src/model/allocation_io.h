@@ -30,8 +30,9 @@ struct StoredAllocation {
 void store_allocation(std::ostream& out, const Allocation& alloc, double bandwidth);
 
 /// \brief Parses an allocation against `db`. Throws std::runtime_error with a line
-/// number on malformed input, unknown items, out-of-range channels, missing
-/// or duplicate assignments, or an item-count mismatch with `db`.
+/// number on malformed input, a channel count outside 1..N, unknown items,
+/// out-of-range channels, missing or duplicate assignments, or an item-count
+/// mismatch with `db`.
 StoredAllocation load_allocation(std::istream& in, const Database& db);
 
 }  // namespace dbs

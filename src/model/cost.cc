@@ -15,13 +15,9 @@ double channel_waiting_time(const Allocation& alloc, ChannelId c, double bandwid
   DBS_CHECK(bandwidth > 0.0);
   const double f = alloc.freq_of(c);
   if (f <= 0.0) return 0.0;
-  // W^(i) = Z_i/(2b) + (Σ f_j z_j over the channel) / (b F_i)
-  double weighted = 0.0;
-  for (ItemId id : alloc.items_in(c)) {
-    const Item& it = alloc.database().item(id);
-    weighted += it.freq * it.size;
-  }
-  return alloc.size_of(c) / (2.0 * bandwidth) + weighted / (bandwidth * f);
+  // W^(i) = Z_i/(2b) + P_i / (b F_i), with P_i = Σ f_j z_j over the channel.
+  return alloc.size_of(c) / (2.0 * bandwidth) +
+         alloc.weighted_size_of(c) / (bandwidth * f);
 }
 
 double program_waiting_time(const Allocation& alloc, double bandwidth) {

@@ -19,7 +19,7 @@ inline double group_cost(double aggregate_freq, double aggregate_size) {
 double item_waiting_time(const Allocation& alloc, ItemId id, double bandwidth);
 
 /// \brief Frequency-weighted average waiting time of channel c (the paper's
-/// W^(i)).
+/// W^(i)), read from the allocation's F, Z and P columns in O(1).
 /// Returns 0 for an empty channel (no requests ever target it).
 double channel_waiting_time(const Allocation& alloc, ChannelId c, double bandwidth);
 

@@ -74,10 +74,6 @@ class Database {
   /// the CDS candidate index (built once at construction).
   const PrefixSums& benefit_prefix() const { return benefit_prefix_; }
 
-  /// \brief Copy of benefit_order() (the pre-columnar spelling; prefer
-  /// benefit_order() to avoid the copy).
-  std::vector<ItemId> ids_by_benefit_ratio_desc() const { return benefit_order_; }
-
   /// \brief Item ids sorted by access frequency, descending (the
   /// conventional environment's order, used by VF^K). Deterministic
   /// tie-break by id.

@@ -95,15 +95,4 @@ Summary MultiProgram::replay(const std::vector<Request>& trace) const {
   return summarize(waits);
 }
 
-Placement placement_from_assignment(const std::vector<ChannelId>& assignment,
-                                    ChannelId channels) {
-  DBS_CHECK(channels >= 1);
-  Placement placement(channels);
-  for (ItemId id = 0; id < assignment.size(); ++id) {
-    DBS_CHECK(assignment[id] < channels);
-    placement[assignment[id]].push_back(id);
-  }
-  return placement;
-}
-
 }  // namespace dbs

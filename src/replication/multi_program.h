@@ -16,6 +16,7 @@ namespace dbs {
 /// Channel membership with replication: placement[c] lists the items carried
 /// by channel c. Every item must appear on at least one channel; items may
 /// appear on several, and each extra copy lengthens that channel's cycle.
+/// A plain partition's placement is Allocation::members().
 using Placement = std::vector<std::vector<ItemId>>;
 
 /// A physical multi-channel program with possibly replicated items.
@@ -59,9 +60,5 @@ class MultiProgram {
   // Per (item, copy): the transmission start offset within the channel cycle.
   std::vector<std::vector<double>> item_offsets_;
 };
-
-/// Converts a plain partition (assignment vector) into a Placement.
-Placement placement_from_assignment(const std::vector<ChannelId>& assignment,
-                                    ChannelId channels);
 
 }  // namespace dbs

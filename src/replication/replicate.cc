@@ -15,11 +15,10 @@ class Evaluator {
  public:
   Evaluator(const Database& db, const Allocation& alloc, double bandwidth)
       : db_(db), bandwidth_(bandwidth), cycle_(alloc.channels(), 0.0),
-        copies_(db.size()), members_(alloc.channels()) {
+        copies_(db.size()), members_(alloc.members()) {
     for (ItemId id = 0; id < db.size(); ++id) {
       const ChannelId c = alloc.channel_of(id);
       copies_[id].push_back(c);
-      members_[c].push_back(id);
       cycle_[c] += db.item(id).size / bandwidth_;
     }
   }

@@ -16,11 +16,12 @@ BroadcastProgram::BroadcastProgram(const Allocation& alloc, double bandwidth,
   item_channel_.assign(db.size(), 0);
   item_slot_index_.assign(db.size(), 0);
 
+  std::vector<std::vector<ItemId>> members = alloc.members();
   for (ChannelId c = 0; c < alloc.channels(); ++c) {
-    std::vector<ItemId> ids = alloc.items_in(c);
+    std::vector<ItemId>& ids = members[c];
     switch (ordering) {
       case SlotOrdering::kById:
-        break;  // items_in returns ascending id order already
+        break;  // members() lists ascending ids already
       case SlotOrdering::kByFreqDesc:
         std::stable_sort(ids.begin(), ids.end(), [&db](ItemId a, ItemId b) {
           return db.item(a).freq > db.item(b).freq;
@@ -33,9 +34,10 @@ BroadcastProgram::BroadcastProgram(const Allocation& alloc, double bandwidth,
         break;
     }
     ChannelSchedule& sched = schedules_[c];
+    sched.slots.reserve(ids.size());
     double offset = 0.0;
     for (ItemId id : ids) {
-      const double duration = db.item(id).size / bandwidth_;
+      const double duration = db.sizes()[id] / bandwidth_;
       item_channel_[id] = c;
       item_slot_index_[id] = sched.slots.size();
       sched.slots.push_back(Slot{id, offset, duration});

@@ -70,17 +70,36 @@ TEST(AllocationIo, RequiresHeaderBeforeItems) {
 
 TEST(AllocationIo, RejectsUnknownKeywordAndBadValues) {
   const Database db({1.0}, {1.0});
-  {
-    std::istringstream in("wibble 3\n");
-    EXPECT_THROW(load_allocation(in, db), std::runtime_error);
-  }
-  {
-    std::istringstream in("channels 0\n");
-    EXPECT_THROW(load_allocation(in, db), std::runtime_error);
-  }
-  {
-    std::istringstream in("channels 1\nbandwidth -2\nitem 0 0\n");
-    EXPECT_THROW(load_allocation(in, db), std::runtime_error);
+  // Each file fails on the line given next to it. The channel counts cover
+  // what a narrowing or unsigned parse would let through: 2^32 + 1 wraps to
+  // 1 channel, 2^32 to 0, 12345678901 to about 3.8e9, and "-1" to 2^64 - 1.
+  // A count above N = 1 would leave a channel empty.
+  const struct {
+    const char* text;
+    const char* line;
+  } cases[] = {
+      {"wibble 3\n", "line 1"},
+      {"# v1\nchannels 0\n", "line 2"},
+      {"# v1\nchannels 4294967297\nbandwidth 5\nitem 0 0\n", "line 2"},
+      {"# v1\nchannels 4294967296\nbandwidth 5\nitem 0 0\n", "line 2"},
+      {"# v1\nchannels 12345678901\nbandwidth 5\nitem 0 0\n", "line 2"},
+      {"# v1\nchannels -1\nbandwidth 5\nitem 0 0\n", "line 2"},
+      {"# v1\nchannels 2\nbandwidth 5\nitem 0 0\n", "line 2"},
+      {"channels 1\nbandwidth -2\nitem 0 0\n", "line 2"},
+      {"channels 1\nbandwidth 5\nitem -1 0\n", "line 3"},
+      {"channels 1\nbandwidth 5\nitem 0 -1\n", "line 3"},
+      {"channels 1\nbandwidth 5\nitem 4294967296 0\n", "line 3"},
+      {"channels 1\nbandwidth 5\nitem 0 4294967296\n", "line 3"},
+  };
+  for (const auto& c : cases) {
+    std::istringstream in(c.text);
+    try {
+      load_allocation(in, db);
+      ADD_FAILURE() << "accepted: " << c.text;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(c.line), std::string::npos)
+          << c.text << " -> " << e.what();
+    }
   }
 }
 

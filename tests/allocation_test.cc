@@ -31,6 +31,8 @@ TEST(Allocation, ExplicitAssignmentAggregates) {
   EXPECT_DOUBLE_EQ(alloc.size_of(1), 4.0);
   EXPECT_EQ(alloc.count_of(0), 2u);
   EXPECT_EQ(alloc.count_of(1), 2u);
+  EXPECT_DOUBLE_EQ(alloc.weighted_size_of(0), 0.4 * 2.0 + 0.2 * 5.0);
+  EXPECT_DOUBLE_EQ(alloc.weighted_size_of(1), 0.3 * 3.0 + 0.1 * 1.0);
 }
 
 TEST(Allocation, CostMatchesDefinition) {
@@ -49,6 +51,8 @@ TEST(Allocation, MoveUpdatesAggregatesIncrementally) {
   EXPECT_DOUBLE_EQ(alloc.size_of(0), 5.0);
   EXPECT_DOUBLE_EQ(alloc.freq_of(1), 0.8);
   EXPECT_DOUBLE_EQ(alloc.size_of(1), 6.0);
+  EXPECT_DOUBLE_EQ(alloc.weighted_size_of(0), 0.2 * 5.0);
+  EXPECT_DOUBLE_EQ(alloc.weighted_size_of(1), 0.4 * 2.0 + 0.3 * 3.0 + 0.1 * 1.0);
   EXPECT_EQ(alloc.channel_of(0), 1u);
   EXPECT_NEAR(alloc.cost(), alloc.cost_recomputed(), 1e-12);
 }
@@ -83,11 +87,15 @@ TEST(Allocation, MoveGainToOwnChannelIsZero) {
   EXPECT_DOUBLE_EQ(alloc.move_gain(0, 0), 0.0);
 }
 
-TEST(Allocation, ItemsInReturnsAscendingIds) {
+TEST(Allocation, MembersListAscendingIdsPerChannel) {
   const Database db = small_db();
-  const Allocation alloc(db, 2, {1, 0, 1, 0});
-  EXPECT_EQ(alloc.items_in(0), (std::vector<ItemId>{1, 3}));
-  EXPECT_EQ(alloc.items_in(1), (std::vector<ItemId>{0, 2}));
+  Allocation alloc(db, 3, {1, 0, 1, 0});
+  EXPECT_EQ(alloc.members(),
+            (std::vector<std::vector<ItemId>>{{1, 3}, {0, 2}, {}}));
+  alloc.move(3, 2);
+  alloc.move(0, 2);
+  EXPECT_EQ(alloc.members(),
+            (std::vector<std::vector<ItemId>>{{1}, {2}, {0, 3}}));
 }
 
 TEST(Allocation, ValidateAcceptsConsistentState) {
@@ -109,6 +117,7 @@ TEST(Allocation, RejectsOutOfRangeQueries) {
   const Database db = small_db();
   const Allocation alloc(db, 2, {0, 1, 0, 1});
   EXPECT_THROW(alloc.freq_of(2), ContractViolation);
+  EXPECT_THROW(alloc.weighted_size_of(2), ContractViolation);
   EXPECT_THROW(alloc.channel_of(9), ContractViolation);
   EXPECT_THROW(alloc.move_gain(9, 0), ContractViolation);
 }
@@ -147,6 +156,9 @@ struct AllocationTestPeer {
   static void set_cached_count(Allocation& a, ChannelId c, std::size_t n) {
     a.count_[c] = n;
   }
+  static void set_cached_weighted_size(Allocation& a, ChannelId c, double v) {
+    a.weighted_[c] = v;
+  }
   static void shrink_assignment(Allocation& a) { a.assignment_.pop_back(); }
 };
 
@@ -179,6 +191,16 @@ TEST(AllocationValidate, CatchesCorruptedSizeAggregate) {
   std::string error;
   EXPECT_FALSE(alloc.validate(&error));
   EXPECT_NE(error.find("channel 0"), std::string::npos) << error;
+}
+
+TEST(AllocationValidate, CatchesCorruptedWeightedSizeAggregate) {
+  const Database db = small_db();
+  Allocation alloc(db, 2, {0, 1, 0, 1});
+  AllocationTestPeer::set_cached_weighted_size(alloc, 1, 1.0 + 1e-6);
+  std::string error;
+  EXPECT_FALSE(alloc.validate(&error));
+  EXPECT_NE(error.find("channel 1"), std::string::npos) << error;
+  EXPECT_NE(error.find("diverge"), std::string::npos) << error;
 }
 
 TEST(AllocationValidate, CatchesCorruptedCount) {

@@ -135,7 +135,7 @@ TEST(OrderedDp, NeverWorseThanDrpOnSameOrder) {
 TEST(OrderedDp, ContiguousInBrOrder) {
   const Database db = generate_database({.items = 45, .seed = 11});
   const Allocation alloc = ordered_dp_optimal(db, 5);
-  const auto order = db.ids_by_benefit_ratio_desc();
+  const auto& order = db.benefit_order();
   ChannelId prev = alloc.channel_of(order[0]);
   for (std::size_t i = 1; i < order.size(); ++i) {
     const ChannelId c = alloc.channel_of(order[i]);

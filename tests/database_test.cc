@@ -78,7 +78,7 @@ TEST(Database, ZeroFrequencyItemsAllowed) {
 
 TEST(Database, BenefitRatioOrderIsDescending) {
   const Database db({1.0, 2.0, 0.5, 4.0}, {0.1, 0.4, 0.2, 0.3});
-  const auto order = db.ids_by_benefit_ratio_desc();
+  const auto& order = db.benefit_order();
   ASSERT_EQ(order.size(), 4u);
   for (std::size_t i = 1; i < order.size(); ++i) {
     EXPECT_GE(db.item(order[i - 1]).benefit_ratio(),
@@ -89,7 +89,7 @@ TEST(Database, BenefitRatioOrderIsDescending) {
 TEST(Database, BenefitRatioOrderBreaksTiesById) {
   // Identical items: order must be stable by id.
   const Database db({1.0, 1.0, 1.0}, {1.0, 1.0, 1.0});
-  const auto order = db.ids_by_benefit_ratio_desc();
+  const auto& order = db.benefit_order();
   EXPECT_EQ(order, (std::vector<ItemId>{0, 1, 2}));
 }
 

@@ -56,7 +56,7 @@ TEST(FuzzDifferential, BestSplitAgreesWithQuadraticReference) {
   Rng rng(102);
   for (int instance = 0; instance < 40; ++instance) {
     const Database db = random_db(rng);
-    const auto order = db.ids_by_benefit_ratio_desc();
+    const auto& order = db.benefit_order();
     const PrefixSums sums(db, order);
     const std::size_t n = order.size();
     const SplitResult fast = best_split(sums, 0, n);
@@ -145,7 +145,7 @@ TEST(FuzzDifferential, MultiProgramSingleCopyMatchesBroadcastProgram) {
     const Allocation alloc(db, k, assignment);
     const double bandwidth = rng.uniform(1.0, 20.0);
     const BroadcastProgram single(alloc, bandwidth);
-    const MultiProgram multi(db, placement_from_assignment(assignment, k), bandwidth);
+    const MultiProgram multi(db, alloc.members(), bandwidth);
     for (int probe = 0; probe < 50; ++probe) {
       const ItemId id = static_cast<ItemId>(rng.below(db.size()));
       const double t = rng.uniform(0.0, 100.0);

@@ -38,7 +38,7 @@ TEST(Hetero, SchedulerReachesLocalOptimum) {
                                          .diversity = 2.0, .seed = 4});
   const std::vector<double> bw = {40.0, 20.0, 10.0, 5.0, 2.5};
   const HeteroResult r = schedule_hetero(db, bw);
-  EXPECT_NEAR(r.wait, hetero_wait(r.allocation, bw), 1e-9);
+  EXPECT_EQ(r.wait, hetero_wait(r.allocation, bw));
   // No single move may improve at the local optimum.
   for (ItemId id = 0; id < db.size(); ++id) {
     for (ChannelId c = 0; c < 5; ++c) {

@@ -35,7 +35,7 @@ TEST(PrefixSums, DefaultConstructedIsEmpty) {
 
 TEST(PrefixSums, UpdateSuffixMatchesFullRebuild) {
   const Database db = generate_database({.items = 50, .diversity = 2.5, .seed = 77});
-  std::vector<ItemId> order = db.ids_by_benefit_ratio_desc();
+  std::vector<ItemId> order = db.benefit_order();
   PrefixSums incremental(db, order);
 
   // Permute only the tail, then repair from the first changed position: the
@@ -50,7 +50,7 @@ TEST(PrefixSums, UpdateSuffixMatchesFullRebuild) {
 
 TEST(PrefixSums, UpdateSuffixGrowsAndShrinksWithTheOrder) {
   const Database db = generate_database({.items = 30, .seed = 78});
-  const std::vector<ItemId> order = db.ids_by_benefit_ratio_desc();
+  const std::vector<ItemId>& order = db.benefit_order();
   const std::span<const ItemId> all(order);
 
   PrefixSums sums(db, all.first(10));
@@ -67,7 +67,7 @@ TEST(PrefixSums, UpdateSuffixGrowsAndShrinksWithTheOrder) {
 
 TEST(PrefixSums, UpdateSuffixRejectsOutOfRangeArguments) {
   const Database db = generate_database({.items = 10, .seed = 79});
-  const std::vector<ItemId> order = db.ids_by_benefit_ratio_desc();
+  const std::vector<ItemId>& order = db.benefit_order();
   PrefixSums sums(db, order);
   EXPECT_THROW(sums.update_suffix(db, order, order.size() + 1), ContractViolation);
 }
@@ -95,7 +95,7 @@ TEST(BestSplit, TwoItemsSplitBetweenThem) {
 TEST(BestSplit, MatchesExhaustiveScan) {
   const Database db = generate_database({.items = 40, .skewness = 1.0,
                                          .diversity = 2.0, .seed = 13});
-  const auto order = db.ids_by_benefit_ratio_desc();
+  const auto& order = db.benefit_order();
   const PrefixSums sums(db, order);
   const SplitResult r = best_split(sums, 5, 35);
   double best = r.total();
@@ -110,7 +110,7 @@ TEST(BestSplit, MatchesExhaustiveScan) {
 
 TEST(BestSplit, SplitStrictlyInsideSlice) {
   const Database db = generate_database({.items = 20, .seed = 14});
-  const auto order = db.ids_by_benefit_ratio_desc();
+  const auto& order = db.benefit_order();
   const PrefixSums sums(db, order);
   const SplitResult r = best_split(sums, 3, 17);
   EXPECT_GT(r.split, 3u);
@@ -121,7 +121,7 @@ TEST(BestSplit, SplittingNeverIncreasesCost) {
   // cost is superadditive under concatenation:
   // (Fl+Fr)(Zl+Zr) >= FlZl + FrZr, so any split is at least as good.
   const Database db = generate_database({.items = 60, .diversity = 3.0, .seed = 15});
-  const auto order = db.ids_by_benefit_ratio_desc();
+  const auto& order = db.benefit_order();
   const PrefixSums sums(db, order);
   const SplitResult r = best_split(sums, 0, 60);
   EXPECT_LE(r.total(), sums.cost_of(0, 60) + 1e-12);

@@ -52,8 +52,7 @@ TEST_P(ExtGrid, ReplicationNeverIncreasesAnalyticWait) {
 }
 
 TEST_P(ExtGrid, MultiProgramDeliveryNeverBeforeRequest) {
-  const MultiProgram multi(
-      db_, placement_from_assignment(alloc_.assignment(), k_), kBandwidth);
+  const MultiProgram multi(db_, alloc_.members(), kBandwidth);
   const auto trace = generate_trace(db_, {.requests = 300, .seed = GetParam().seed});
   for (const Request& r : trace) {
     const double done = multi.delivery_time(r.item, r.time);
@@ -83,7 +82,7 @@ TEST_P(ExtGrid, HeteroSchedulerMatchesHomogeneousAtEqualBandwidths) {
   const std::vector<double> equal(k_, kBandwidth);
   const HeteroResult r = schedule_hetero(db_, equal);
   // A homogeneous-optimal local optimum: no generalized move improves.
-  EXPECT_NEAR(r.wait, hetero_wait(r.allocation, equal), 1e-9);
+  EXPECT_EQ(r.wait, hetero_wait(r.allocation, equal));
   EXPECT_LE(r.wait, program_waiting_time(alloc_, kBandwidth) * 1.02 + 1e-9)
       << "hetero path must not regress the homogeneous case materially";
 }

@@ -98,15 +98,17 @@ TEST_P(GridProperty, WaitingTimeDecomposition) {
 TEST_P(GridProperty, AggregatesSumToDatabaseTotals) {
   for (const Allocation& alloc :
        {run_drp(db_, k_).allocation, run_vfk(db_, k_), greedy_insertion(db_, k_)}) {
-    double f = 0.0, z = 0.0;
+    double f = 0.0, z = 0.0, p = 0.0;
     std::size_t n = 0;
     for (ChannelId c = 0; c < k_; ++c) {
       f += alloc.freq_of(c);
       z += alloc.size_of(c);
+      p += alloc.weighted_size_of(c);
       n += alloc.count_of(c);
     }
     EXPECT_NEAR(f, 1.0, 1e-9);
     EXPECT_NEAR(z, db_.total_size(), 1e-6);
+    EXPECT_NEAR(p, db_.weighted_size(), 1e-9 * (1.0 + db_.weighted_size()));
     EXPECT_EQ(n, db_.size());
   }
 }

@@ -69,8 +69,7 @@ TEST(MinWait, RejectsBadInput) {
 TEST(MultiProgram, UnreplicatedMatchesEq2AndBroadcastProgram) {
   const Database db = generate_database({.items = 40, .diversity = 2.0, .seed = 1});
   const Allocation alloc = run_drp_cds(db, 4).allocation;
-  const MultiProgram multi(
-      db, placement_from_assignment(alloc.assignment(), 4), 10.0);
+  const MultiProgram multi(db, alloc.members(), 10.0);
   EXPECT_NEAR(multi.expected_wait(), program_waiting_time(alloc, 10.0), 1e-9);
 
   // Per-request delivery agrees with the partition-based program.
@@ -179,7 +178,7 @@ TEST(Replication, AnalyticModelTracksTraceReplay) {
 TEST(Replication, PlacementFromAssignmentRoundTrip) {
   const Database db = generate_database({.items = 20, .seed = 10});
   const Allocation alloc = run_drp_cds(db, 3).allocation;
-  const Placement p = placement_from_assignment(alloc.assignment(), 3);
+  const Placement p = alloc.members();
   std::size_t total = 0;
   for (ChannelId c = 0; c < 3; ++c) {
     for (ItemId id : p[c]) EXPECT_EQ(alloc.channel_of(id), c);

@@ -119,6 +119,16 @@ TEST(Schedule, PropagatesContractViolations) {
   EXPECT_THROW(schedule(db, request), ContractViolation);
 }
 
+TEST(Schedule, EveryAlgorithmRejectsMoreChannelsThanItems) {
+  const Database db = generate_database({.items = 6, .seed = 4});
+  for (const AlgorithmInfo& info : all_algorithms()) {
+    ScheduleRequest request;
+    request.algorithm = info.id;
+    request.channels = static_cast<ChannelId>(db.size() + 1);
+    EXPECT_THROW(schedule(db, request), ContractViolation) << info.name;
+  }
+}
+
 TEST(Schedule, DrpOptionsArePassedThrough) {
   const Database db = generate_database({.items = 40, .diversity = 2.0, .seed = 5});
   ScheduleRequest request;

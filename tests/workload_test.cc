@@ -110,7 +110,7 @@ TEST(PaperExample, TotalSizeIs135_60) {
 
 TEST(PaperExample, BenefitRatioOrderMatchesTable3) {
   const Database db = paper_table2_database();
-  EXPECT_EQ(db.ids_by_benefit_ratio_desc(), paper_table3_br_order());
+  EXPECT_EQ(db.benefit_order(), paper_table3_br_order());
 }
 
 TEST(Trace, GeneratesRequestedCountInOrder) {
