@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <numeric>
+#include <utility>
 
 #include "common/check.h"
 #include "model/database.h"
@@ -11,72 +12,79 @@ namespace dbs {
 namespace {
 
 constexpr double kNegInf = -std::numeric_limits<double>::infinity();
-constexpr ChannelId kNoDup = std::numeric_limits<ChannelId>::max();
+constexpr ItemId kNil = std::numeric_limits<ItemId>::max();
 
 }  // namespace
 
-void CandidateIndex::Layer::reserve(std::size_t k) {
-  z.reserve(k);
-  f.reserve(k);
-  id.reserve(k);
-  dup.reserve(k);
-}
-
-void CandidateIndex::Layer::assign_lower_hull(const std::vector<Point>& pts) {
-  // Andrew monotone chain, built straight into the columns.
-  auto cross = [this](std::size_t o, std::size_t a, const Point& b) {
-    return (z[a] - z[o]) * (b.f - f[o]) - (f[a] - f[o]) * (b.z - z[o]);
-  };
-  z.clear();
-  f.clear();
-  id.clear();
-  dup.clear();
-  for (const Point& p : pts) {
-    while (size() >= 2 && cross(size() - 2, size() - 1, p) <= 0.0) {
-      z.pop_back();
-      f.pop_back();
-      id.pop_back();
-      dup.pop_back();
-    }
-    z.push_back(p.z);
-    f.push_back(p.f);
-    id.push_back(p.id);
-    dup.push_back(p.dup);
+ChannelId CandidateIndex::PieceMap::target_at(std::size_t pos) const {
+  // Branchless upper-bound search: the member refresh calls this once per
+  // item, and its comparisons go either way from item to item.
+  const std::size_t* base = start.data();
+  std::size_t len = chan.size();
+  while (len > 1) {
+    const std::size_t half = len / 2;
+    base = base[half] <= pos ? base + half : base;
+    len -= half;
   }
+  return chan[static_cast<std::size_t>(base - start.data())];
 }
 
 CandidateIndex::CandidateIndex(Allocation& alloc)
     : alloc_(alloc),
+      order_(alloc.database().benefit_order()),
       item_freq_(alloc.database().freqs()),
       item_size_(alloc.database().sizes()),
       chan_freq_(alloc.channel_freqs()),
       chan_size_(alloc.channel_sizes()),
-      c1_(alloc.items()),
-      c2_(alloc.items()),
-      s1_(alloc.items()),
-      s2_(alloc.items()),
       gain_(alloc.items()),
+      rank_(alloc.items()),
+      head_(alloc.channels(), kNil),
+      next_(alloc.items()),
+      prev_(alloc.items()),
       by_zf_(alloc.channels()) {
   DBS_CHECK_MSG(alloc_.channels() >= 2,
                 "the candidate index needs at least two channels");
   const std::size_t k = alloc_.channels();
-  std::iota(by_zf_.begin(), by_zf_.end(), 0);
-  points_.reserve(k);
-  rest_.reserve(k);
-  layer1_.reserve(k);
-  layer2_.reserve(k);
-  attention_.reserve(alloc_.items());
-  build_hull();
   const std::size_t n = alloc_.items();
+  std::iota(by_zf_.begin(), by_zf_.end(), 0);
+  hull_.reserve(k);
+  for (PieceMap* map : {&pieces_, &old_pieces_}) {
+    map->start.reserve(k + 1);
+    map->chan.reserve(k);
+  }
+  for (std::size_t pos = 0; pos < n; ++pos) {
+    rank_[order_[pos]] = static_cast<std::uint32_t>(pos);
+  }
   const std::vector<ChannelId>& home = alloc_.assignment();
-  for (ItemId y = 0; y < n; ++y) {
-    query_pair(y);
-    refresh_gain(y, home[y]);
+  for (ItemId y = 0; y < n; ++y) link(y, home[y]);
+
+  build_hull();
+  build_pieces(pieces_);
+  for (std::size_t i = 0; i < pieces_.chan.size(); ++i) {
+    for (std::size_t pos = pieces_.start[i]; pos < pieces_.start[i + 1]; ++pos) {
+      const ItemId y = order_[pos];
+      refresh_gain(y, home[y], pieces_.chan[i]);
+    }
   }
 }
 
+void CandidateIndex::link(ItemId y, ChannelId c) {
+  prev_[y] = kNil;
+  next_[y] = head_[c];
+  if (head_[c] != kNil) prev_[head_[c]] = y;
+  head_[c] = y;
+}
+
+void CandidateIndex::unlink(ItemId y, ChannelId c) {
+  if (prev_[y] != kNil) {
+    next_[prev_[y]] = next_[y];
+  } else {
+    head_[c] = next_[y];
+  }
+  if (next_[y] != kNil) prev_[next_[y]] = prev_[y];
+}
+
 void CandidateIndex::build_hull() {
-  // Deduplicate channel points, remembering the two smallest ids per point.
   // The order is total (ids break ties), so re-sorting the previous fold's
   // permutation gives the same result as sorting from scratch.
   std::sort(by_zf_.begin(), by_zf_.end(), [&](ChannelId a, ChannelId b) {
@@ -84,213 +92,158 @@ void CandidateIndex::build_hull() {
     if (chan_freq_[a] != chan_freq_[b]) return chan_freq_[a] < chan_freq_[b];
     return a < b;
   });
-  points_.clear();
-  for (const ChannelId c : by_zf_) {
-    if (!points_.empty() && points_.back().z == chan_size_[c] &&
-        points_.back().f == chan_freq_[c]) {
-      // by_zf_ is id-ascending within equal points, so the first follower is
-      // already the second-smallest id.
-      if (points_.back().dup == kNoDup) points_.back().dup = c;
+  // Andrew's monotone chain over the deduplicated channel points. Channels
+  // with bit-identical aggregates (e.g. several empty channels) are one
+  // point, represented by its smallest id — the one the brute-force scan's
+  // tie-break picks. Collinear points are dropped: they only ever tie with
+  // the chain, never beat it.
+  auto cross = [&](ChannelId o, ChannelId a, ChannelId b) {
+    return (chan_size_[a] - chan_size_[o]) * (chan_freq_[b] - chan_freq_[o]) -
+           (chan_freq_[a] - chan_freq_[o]) * (chan_size_[b] - chan_size_[o]);
+  };
+  hull_.clear();
+  for (std::size_t i = 0; i < by_zf_.size(); ++i) {
+    const ChannelId c = by_zf_[i];
+    if (i > 0 && chan_size_[c] == chan_size_[by_zf_[i - 1]] &&
+        chan_freq_[c] == chan_freq_[by_zf_[i - 1]]) {
       continue;
     }
-    points_.push_back(Point{chan_size_[c], chan_freq_[c], c, kNoDup});
-  }
-
-  // Two onion layers: the load argmin lives on layer 1, and the runner-up on
-  // layer 1's chain neighbours, layer 1's duplicate id, or layer 2's argmin
-  // (second-layer sufficiency: removing one hull vertex exposes at most
-  // layer-2 points).
-  layer1_.assign_lower_hull(points_);
-  rest_.clear();
-  std::size_t h = 0;
-  for (const Point& p : points_) {
-    if (h < layer1_.size() && layer1_.id[h] == p.id) {
-      ++h;
-    } else {
-      rest_.push_back(p);
+    while (hull_.size() >= 2 && cross(hull_[hull_.size() - 2], hull_.back(), c) <= 0.0) {
+      hull_.pop_back();
     }
+    hull_.push_back(c);
   }
-  layer2_.assign_lower_hull(rest_);
 }
 
-namespace {
-
-/// Branchless binary search for the argmin of the load functional
-/// s = f·Z + z·F over a convex chain. The sign of the per-edge delta
-/// f·ΔZ + z·ΔF flips exactly once along the chain (the edge direction
-/// rotates monotonically through a half-plane), so "delta ≥ 0" is a
-/// monotone predicate and its first edge index is the leftmost minimum.
-/// The length-halving form keeps the probe sequence data-independent and
-/// the ternaries compile to conditional moves — the predicate is a coin
-/// flip per probe, so a branching search would eat a misprediction on
-/// nearly every level across millions of queries.
-inline std::size_t chain_argmin(const double* zs, const double* fs,
-                                std::size_t vertices, double f, double z) {
-  std::size_t lo = 0;
-  std::size_t len = vertices - 1;  // edges still in play
-  while (len > 0) {
-    const std::size_t half = len / 2;
-    const std::size_t mid = lo + half;
-    const double delta = f * (zs[mid + 1] - zs[mid]) + z * (fs[mid + 1] - fs[mid]);
-    const bool ge = delta >= 0.0;
-    lo = ge ? lo : mid + 1;
-    len = ge ? half : len - half - 1;
-  }
-  return lo;
+std::size_t CandidateIndex::first_beaten(ChannelId a, ChannelId b,
+                                         std::size_t from) const {
+  // Along the benefit order f/z falls, so the load difference
+  // s_b − s_a = z·((f/z)·ΔZ + ΔF) of a hull edge (ΔZ > 0) changes sign at
+  // most once: "b beats a" is a monotone predicate over positions, and its
+  // first true position is a binary search away. Loads are compared as
+  // f·Z + z·F: an algebraically equal form rounds differently near a
+  // threshold and would move the seeded trajectories.
+  const double za = chan_size_[a];
+  const double fa = chan_freq_[a];
+  const double zb = chan_size_[b];
+  const double fb = chan_freq_[b];
+  const bool b_wins_ties = b < a;
+  const auto first = std::partition_point(
+      order_.begin() + static_cast<std::ptrdiff_t>(from), order_.end(), [&](ItemId y) {
+        const double f = item_freq_[y];
+        const double z = item_size_[y];
+        const double sa = f * za + z * fa;
+        const double sb = f * zb + z * fb;
+        return !(sb < sa || (b_wins_ties && sb == sa));
+      });
+  return static_cast<std::size_t>(first - order_.begin());
 }
 
-}  // namespace
-
-void CandidateIndex::query_pair(ItemId y) {
-  const double f = item_freq_[y];
-  const double z = item_size_[y];
-
-  const double* z1 = layer1_.z.data();
-  const double* f1 = layer1_.f.data();
-  auto load1 = [&](std::size_t i) { return f * z1[i] + z * f1[i]; };
-  const std::size_t lo = chain_argmin(z1, f1, layer1_.size(), f, z);
-
-  // Exact best among the located vertex and its chain neighbours, by
-  // (load, id) — the brute-force scan's target tie-break.
-  std::size_t bi = lo;
-  double bs = load1(lo);
-  auto consider_best = [&](std::size_t i) {
-    const double s = load1(i);
-    if (s < bs || (s == bs && layer1_.id[i] < layer1_.id[bi])) {
-      bi = i;
-      bs = s;
+void CandidateIndex::build_pieces(PieceMap& out) const {
+  // Vertex j owns the positions from where it beat vertex j − 1 up to where
+  // vertex j + 1 beats it. Starting each search at the previous boundary
+  // keeps the boundaries ascending even where rounding blurs a threshold.
+  const std::size_t n = alloc_.items();
+  out.start.clear();
+  out.chan.clear();
+  std::size_t from = 0;
+  for (std::size_t j = 0; j < hull_.size() && from < n; ++j) {
+    const std::size_t end =
+        j + 1 < hull_.size() ? first_beaten(hull_[j], hull_[j + 1], from) : n;
+    if (end > from) {
+      out.start.push_back(from);
+      out.chan.push_back(hull_[j]);
+      from = end;
     }
-  };
-  if (lo > 0) consider_best(lo - 1);
-  if (lo + 1 < layer1_.size()) consider_best(lo + 1);
-
-  // Runner-up candidates: the best point's duplicate id, the best vertex's
-  // chain neighbours, and layer 2's own argmin neighbourhood. The true
-  // runner-up is always among these (header doc / ARCHITECTURE.md §5), and
-  // every candidate is a real channel with its exact load, so the min over
-  // this superset is the exact runner-up.
-  ChannelId second_c = 0;
-  double second_s = 0.0;
-  bool have_second = false;
-  auto offer = [&](ChannelId c, double s) {
-    if (!have_second || s < second_s || (s == second_s && c < second_c)) {
-      have_second = true;
-      second_c = c;
-      second_s = s;
-    }
-  };
-  if (layer1_.dup[bi] != kNoDup) offer(layer1_.dup[bi], bs);
-  if (bi > 0) offer(layer1_.id[bi - 1], load1(bi - 1));
-  if (bi + 1 < layer1_.size()) offer(layer1_.id[bi + 1], load1(bi + 1));
-  if (!layer2_.empty()) {
-    const double* z2 = layer2_.z.data();
-    const double* f2 = layer2_.f.data();
-    auto load2 = [&](std::size_t i) { return f * z2[i] + z * f2[i]; };
-    const std::size_t lo2 = chain_argmin(z2, f2, layer2_.size(), f, z);
-    offer(layer2_.id[lo2], load2(lo2));
-    if (lo2 > 0) offer(layer2_.id[lo2 - 1], load2(lo2 - 1));
-    if (lo2 + 1 < layer2_.size()) offer(layer2_.id[lo2 + 1], load2(lo2 + 1));
   }
-  DBS_CHECK_MSG(have_second, "K >= 2 guarantees a runner-up candidate");
-
-  c1_[y] = layer1_.id[bi];
-  s1_[y] = bs;
-  c2_[y] = second_c;
-  s2_[y] = second_s;
+  out.start.push_back(n);
 }
 
-void CandidateIndex::refresh_gain(ItemId y, ChannelId home) {
-  const ChannelId to = c1_[y];
-  if (to == home) {
-    // Home already the min-load channel: every move has
-    // Δc = C_y − s_q ≤ C_y − s_home = −2 f_y z_y < 0. Never selectable.
-    gain_[y] = kNegInf;
-    return;
-  }
+void CandidateIndex::refresh_gain(ItemId y, ChannelId home, ChannelId to) {
   const double f = item_freq_[y];
   const double z = item_size_[y];
   // Same expression in the same order as Allocation::move_gain (Eq. 4), so
-  // the cached gain is bit-identical to what best_move(alloc) computes — the
-  // call is only inlined here because this runs a few million times per
-  // large CDS run.
-  gain_[y] = f * (chan_size_[home] - chan_size_[to]) +
-             z * (chan_freq_[home] - chan_freq_[to]) - 2.0 * f * z;
-  ++moves_evaluated_;
+  // the cached gain is bit-identical to what best_move(alloc) computes. It
+  // is computed even when the target is home (measured faster than an early
+  // return in the refresh loops) and then replaced: with the home as the
+  // min-load channel every move has Δc = C_y − s_q ≤ C_y − s_home =
+  // −2 f_y z_y < 0, so the item is never selectable.
+  const double gain = f * (chan_size_[home] - chan_size_[to]) +
+                      z * (chan_freq_[home] - chan_freq_[to]) - 2.0 * f * z;
+  const bool at_home = to == home;
+  gain_[y] = at_home ? kNegInf : gain;
+  moves_evaluated_ += at_home ? 0 : 1;
+}
+
+void CandidateIndex::fold() {
+  const ChannelId p = touched_p_;
+  const ChannelId q = touched_q_;
+  const std::vector<ChannelId>& home = alloc_.assignment();
+  build_hull();
+  std::swap(pieces_, old_pieces_);
+  build_pieces(pieces_);
+
+  // Walk the segments on which neither map changes piece. A gain depends on
+  // the item's home and target aggregates only, so it is stale exactly when
+  // the target changed, the target is p or q, or the home is p or q. The
+  // first two are whole segments; items on p or q follow from their lists
+  // (skipped here, so each gain is computed once).
+  const std::size_t n = alloc_.items();
+  std::size_t i = 0;
+  std::size_t j = 0;
+  for (std::size_t pos = 0; pos < n;) {
+    const std::size_t end = std::min(old_pieces_.start[i + 1], pieces_.start[j + 1]);
+    const ChannelId to = pieces_.chan[j];
+    if (old_pieces_.chan[i] != to || to == p || to == q) {
+      repairs_ += end - pos;
+      for (; pos < end; ++pos) {
+        const ItemId y = order_[pos];
+        if (home[y] != p && home[y] != q) refresh_gain(y, home[y], to);
+      }
+    }
+    pos = end;
+    i += old_pieces_.start[i + 1] == end;
+    j += pieces_.start[j + 1] == end;
+  }
+  for (const ChannelId c : {p, q}) {
+    for (ItemId y = head_[c]; y != kNil; y = next_[y]) {
+      refresh_gain(y, c, pieces_.target_at(rank_[y]));
+    }
+    if (p == q) break;
+  }
 }
 
 CdsMove CandidateIndex::best_move() {
-  const std::size_t n = alloc_.items();
-  const std::vector<ChannelId>& home = alloc_.assignment();
-
   if (pending_) {
-    const ChannelId p = touched_p_;
-    const ChannelId q = touched_q_;
-    build_hull();
-    const double zp = chan_size_[p];
-    const double fp = chan_freq_[p];
-    const double zq = chan_size_[q];
-    const double fq = chan_freq_[q];
-
-    // Pass 1 (pure, sequential): collect the disturbed items. Everything
-    // else keeps bit-identical cached state — its slots survived, neither
-    // touched channel's new load reaches its runner-up, and its home
-    // aggregates are unchanged, so both the pair and the cached Eq. 4 gain
-    // are still exact.
-    attention_.clear();
-    const ChannelId* c1 = c1_.data();
-    const ChannelId* c2 = c2_.data();
-    const double* s2 = s2_.data();
-    const ChannelId* hm = home.data();
-    const double* fi = item_freq_.data();
-    const double* zi = item_size_.data();
-    for (ItemId y = 0; y < n; ++y) {
-      const bool slot_touch =
-          (c1[y] == p) | (c1[y] == q) | (c2[y] == p) | (c2[y] == q);
-      const bool home_touch = (hm[y] == p) | (hm[y] == q);
-      const double sp = fi[y] * zp + zi[y] * fp;
-      const double sq = fi[y] * zq + zi[y] * fq;
-      const bool beat = (sp <= s2[y]) | (sq <= s2[y]);
-      if (slot_touch | home_touch | beat) attention_.push_back(y);
-    }
-
-    // Pass 2: repair the disturbed items. A pure home-touch only needs its
-    // gain refreshed; anything whose min-2 might have shifted is re-queried
-    // against the fresh hull, so pairs are always exact — there is no
-    // provisional or lapsed state to track.
-    for (const ItemId y : attention_) {
-      const bool slot_touch =
-          (c1_[y] == p) | (c1_[y] == q) | (c2_[y] == p) | (c2_[y] == q);
-      const double sp = item_freq_[y] * zp + item_size_[y] * fp;
-      const double sq = item_freq_[y] * zq + item_size_[y] * fq;
-      const bool beat = (sp <= s2_[y]) | (sq <= s2_[y]);
-      if (slot_touch | beat) {
-        query_pair(y);
-        ++repairs_;
-      }
-      refresh_gain(y, home[y]);
-    }
+    fold();
     pending_ = false;
   }
-
-  // Selection is a pure argmax over the cached gain column. Keeping the
-  // first maximum ties to the smallest item id — the same total order
-  // best_move(alloc)'s ascending-id strict-> loop induces.
+  // Selection is a pure argmax over the gain column, in two passes: four
+  // independent running maxima (no data-dependent branch, so the pass runs
+  // at load bandwidth), then the first item holding that maximum — the
+  // smallest item id, the tie-break best_move(alloc)'s ascending-id
+  // strict-> loop induces.
+  const std::size_t n = alloc_.items();
   const double* g = gain_.data();
-  std::size_t bi = 0;
-  double bg = g[0];
-  for (std::size_t y = 1; y < n; ++y) {
-    if (g[y] > bg) {
-      bg = g[y];
-      bi = y;
-    }
+  double lane[4] = {g[0], g[0], g[0], g[0]};
+  std::size_t y = 0;
+  for (; y + 4 <= n; y += 4) {
+    for (std::size_t l = 0; l < 4; ++l) lane[l] = std::max(lane[l], g[y + l]);
   }
-  return CdsMove{static_cast<ItemId>(bi), home[bi], c1_[bi], bg};
+  for (; y < n; ++y) lane[0] = std::max(lane[0], g[y]);
+  const double top = std::max({lane[0], lane[1], lane[2], lane[3]});
+  const ItemId best = static_cast<ItemId>(std::find(g, g + n, top) - g);
+  return CdsMove{best, alloc_.assignment()[best], pieces_.target_at(rank_[best]),
+                 g[best]};
 }
 
 void CandidateIndex::apply(const CdsMove& move) {
   DBS_CHECK_MSG(!pending_, "apply() calls must be interleaved with best_move()");
+  const ChannelId from = alloc_.channel_of(move.item);
   alloc_.move(move.item, move.to);
-  touched_p_ = move.from;
+  unlink(move.item, from);
+  link(move.item, move.to);
+  touched_p_ = from;
   touched_q_ = move.to;
   pending_ = true;
 }

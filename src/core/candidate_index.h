@@ -1,4 +1,4 @@
-// Per-item candidate index for CDS's best-improvement move search.
+// Candidate index for CDS's best-improvement move search.
 //
 // Eq. (4) factors as Δc(x: p→q) = C_x − s_q with
 //     C_x = f_x·Z_p + z_x·F_p − 2 f_x z_x   (home potential, q-independent)
@@ -7,26 +7,30 @@
 // currently lives. When that argmin IS x's home channel, no move can improve
 // (Δc ≤ −2 f_x z_x < 0), so the item drops out of the search entirely.
 //
-// The index holds three columnar caches, all indexed by ItemId:
-//   * (c1, s1): the min-load channel and its load;
-//   * (c2, s2): the runner-up channel and its load;
-//   * gain: Δc of the item's candidate move (x → c1), computed with
-//     Allocation::move_gain's exact Eq. 4 arithmetic, or −∞ when c1 is home.
+// s_q / z_x = (f_x/z_x)·Z_q + F_q depends on the item only through its
+// benefit ratio, so along Database::benefit_order() (ratio descending) the
+// argmin walks the lower hull of the channel points (Z_q, F_q) from left to
+// right: the target is piecewise constant, one piece per hull vertex. The
+// index keeps that piece map (O(K) entries, never a per-item target) and,
+// indexed by ItemId:
+//   * gain: Δc of the item's move to its piece's channel, computed with
+//     Allocation::move_gain's exact Eq. 4 arithmetic, or −∞ when that
+//     channel is the item's home;
+//   * rank: the item's benefit-order position, which locates its piece;
+//   * next/prev: per-channel member lists.
 //
-// Loads are linear functionals over the channel points (Z_c, F_c), so the
-// exact min-2 is found on two convex-hull onion layers with an O(log K)
-// binary search per item — never a brute O(K) channel scan. After a move
-// p→q one fused O(N) sequential pass refreshes the caches: an item is
-// disturbed only if a cached slot or its home is a touched channel, or a
-// touched channel's new load now beats its runner-up; disturbed pairs are
-// re-queried against a freshly built hull (O(K log K) per iteration,
-// negligible), everything else keeps bit-identical cached state. The
-// selection itself is then a pure argmax over the gain column. The hull is
-// rebuilt in scratch sized at construction, so a fold allocates nothing. See
-// docs/ARCHITECTURE.md §5 for the exactness argument.
+// After a move p→q the fold rebuilds the hull, finds each piece's start with
+// one binary search per hull edge, and merges the old and new piece maps: a
+// gain is recomputed only where the piece channel changed or is p or q, and
+// for the items living on p or q (walked through per-channel member lists).
+// Every other gain is still exact, so the fold does no O(N) pass; selection
+// is a pure argmax over the gain column. All scratch is sized at
+// construction, so a fold allocates nothing. See docs/ARCHITECTURE.md §5
+// for the exactness argument.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -35,18 +39,18 @@
 
 namespace dbs {
 
-/// \brief Incrementally maintained per-item best-target index for CDS.
+/// \brief Incrementally maintained best-target index for CDS.
 ///
 /// The referenced Allocation must outlive the index, and every mutation of
 /// it between best_move() calls must go through apply() — an out-of-band
-/// Allocation::move() silently invalidates the cached columns.
+/// Allocation::move() silently invalidates the cached gains.
 class CandidateIndex {
  public:
-  /// \brief Builds the per-item caches for the current allocation
-  /// (O(N log K)). Requires at least two channels.
+  /// \brief Builds the piece map and the gain column for the current
+  /// allocation (O(N + K log N + K log K)). Requires at least two channels.
   explicit CandidateIndex(Allocation& alloc);
 
-  /// \brief Folds any pending move into the caches and returns the best
+  /// \brief Folds any pending move into the index and returns the best
   /// single-item move (gain may be ≤ 0 at a local optimum). Ties resolve
   /// like the brute-force best_move(alloc): smallest item id, and per item
   /// the smallest-load (then smallest-id) target.
@@ -56,75 +60,69 @@ class CandidateIndex {
   /// channels for the next best_move() fold.
   void apply(const CdsMove& move);
 
-  /// \brief Candidate gains computed so far (one per item at construction,
-  /// plus one per disturbed item per fold pass). Mirrors
-  /// CdsStats::moves_evaluated.
+  /// \brief Eq. 4 gains computed so far (one per item whose target is not
+  /// its home at construction, then one per refreshed item per fold).
+  /// Mirrors CdsStats::moves_evaluated.
   std::size_t moves_evaluated() const { return moves_evaluated_; }
 
-  /// \brief Disturbed pairs re-queried against the hull. Mirrors
-  /// CdsStats::index_repairs.
+  /// \brief Benefit-order positions whose target a fold re-derived (the
+  /// positions whose piece channel changed or is a touched channel).
+  /// Mirrors CdsStats::index_repairs.
   std::size_t repairs() const { return repairs_; }
 
  private:
-  /// One deduplicated channel point (Z_c, F_c). Channels with bit-identical
-  /// aggregates (e.g. several empty channels) collapse into one point that
-  /// remembers its two smallest channel ids, so load ties still resolve to
-  /// the smallest id exactly like the brute-force scan.
-  struct Point {
-    double z = 0.0;      // Z_c (x axis)
-    double f = 0.0;      // F_c (y axis)
-    ChannelId id = 0;    // smallest channel with this point
-    ChannelId dup = 0;   // second-smallest, or kNoDup
+  /// The min-load target as a function of benefit-order position: piece i
+  /// covers positions [start[i], start[i + 1]) and targets channel chan[i].
+  /// Pieces are non-empty, and start.back() is the item count.
+  struct PieceMap {
+    std::vector<std::size_t> start;
+    std::vector<ChannelId> chan;
+
+    /// \brief The channel whose piece holds position `pos`.
+    ChannelId target_at(std::size_t pos) const;
   };
 
-  /// One hull layer: a lower-hull chain over the deduplicated channel
-  /// points, plus per-edge deltas for the binary search.
-  struct Layer {
-    std::vector<double> z;          // Z of each chain vertex, ascending
-    std::vector<double> f;          // F of each chain vertex
-    std::vector<ChannelId> id;      // smallest channel id of the vertex
-    std::vector<ChannelId> dup;     // second-smallest id (kNoDup if unique)
-    bool empty() const { return z.empty(); }
-    std::size_t size() const { return z.size(); }
-
-    /// \brief Reserves room for a chain over `k` points.
-    void reserve(std::size_t k);
-
-    /// \brief Replaces the chain with the lower hull of `pts`, which must be
-    /// sorted by (z, f). Collinear points are dropped from the chain (they
-    /// join the next layer).
-    void assign_lower_hull(const std::vector<Point>& pts);
-  };
-
-  /// \brief Rebuilds the two onion layers from the current aggregates.
+  /// \brief Rebuilds hull_ from the current channel aggregates.
   void build_hull();
 
-  /// \brief Recomputes item y's exact min-2 pair from the hull layers.
-  void query_pair(ItemId y);
+  /// \brief Derives the piece map of hull_ into `out`.
+  void build_pieces(PieceMap& out) const;
 
-  /// \brief Refreshes item y's cached gain from its pair and home.
-  void refresh_gain(ItemId y, ChannelId home);
+  /// \brief First position in [from, N) at which channel `b` beats `a` as a
+  /// target: lower load, or equal load and a smaller id.
+  std::size_t first_beaten(ChannelId a, ChannelId b, std::size_t from) const;
+
+  /// \brief Recomputes item y's gain for the move home → to.
+  void refresh_gain(ItemId y, ChannelId home, ChannelId to);
+
+  /// \brief Folds the pending move p→q into the piece map and the gains.
+  void fold();
+
+  /// \brief Pushes item y onto channel c's member list.
+  void link(ItemId y, ChannelId c);
+
+  /// \brief Removes item y from channel c's member list.
+  void unlink(ItemId y, ChannelId c);
 
   Allocation& alloc_;
+  std::span<const ItemId> order_;      // Database::benefit_order()
   std::span<const double> item_freq_;
   std::span<const double> item_size_;
   std::span<const double> chan_freq_;  // Allocation's F column (stable storage)
   std::span<const double> chan_size_;  // Allocation's Z column (stable storage)
 
-  std::vector<ChannelId> c1_;   // min-load channel per item
-  std::vector<ChannelId> c2_;   // runner-up channel per item
-  std::vector<double> s1_;      // load of c1
-  std::vector<double> s2_;      // load of c2
-  std::vector<double> gain_;    // Δc of the move to c1; −∞ when c1 == home
+  std::vector<double> gain_;         // Δc of the move to the piece channel, or −∞
+  std::vector<std::uint32_t> rank_;  // each item's position in order_
+  std::vector<ItemId> head_;         // first member of each channel
+  std::vector<ItemId> next_;         // per-channel member lists, by ItemId
+  std::vector<ItemId> prev_;
 
-  Layer layer1_;
-  Layer layer2_;
+  PieceMap pieces_;
+  PieceMap old_pieces_;  // fold scratch: the map before the pending move
 
   // Fold scratch, sized at construction so that a fold allocates nothing.
-  std::vector<ChannelId> by_zf_;   // channel ids sorted by (Z, F, id)
-  std::vector<Point> points_;      // deduplicated channel points
-  std::vector<Point> rest_;        // points_ minus layer 1's vertices
-  std::vector<ItemId> attention_;  // disturbed items (at most N per fold)
+  std::vector<ChannelId> by_zf_;  // channel ids sorted by (Z, F, id)
+  std::vector<ChannelId> hull_;   // lower-hull vertices by ascending Z
 
   bool pending_ = false;
   ChannelId touched_p_ = 0;

@@ -31,9 +31,9 @@ CdsStats run_cds(Allocation& alloc, const CdsOptions& options) {
   stats.initial_cost = alloc.cost();
   // With one channel there is no move to make: trivially a local optimum.
   if (alloc.channels() > 1) {
-    // Each iteration is one fused O(N) index pass: fold the previous move's
-    // two touched channels into every item's cached pair, then select the
-    // best move.
+    // Each iteration folds the previous move into the index (only the gains
+    // its two channels made stale), then selects the best move with one
+    // O(N) argmax.
     CandidateIndex index(alloc);
     while (true) {
       if (stats.iterations >= options.max_iterations) {

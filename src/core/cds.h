@@ -9,9 +9,11 @@
 //
 // run_cds finds each iteration's best move with the candidate index
 // (core/candidate_index.h): Eq. 4 factors into a home potential minus a
-// target load, so each item's best target is its minimum-load channel, and
-// the index keeps that per-item answer exact across moves with one O(N) fold
-// per iteration instead of an O(N·K) rescan. best_move(alloc) below is the
+// target load, so each item's best target is its minimum-load channel. That
+// channel depends only on the item's benefit ratio, so the index keeps it as
+// a piece map over the benefit order, refreshes only the gains a move made
+// stale, and selects with one O(N) argmax per iteration instead of an
+// O(N·K) rescan. best_move(alloc) below is the
 // exhaustive O(N·K) reference the index is tested against: both evaluate
 // Eq. 4 with the same arithmetic and tie-break order (ARCHITECTURE.md §5).
 #pragma once
@@ -53,12 +55,14 @@ struct CdsStats {
 
   /// Candidate moves whose Δc was computed: one per item whose best target
   /// is not its home, once when the index is built and again whenever a
-  /// fold disturbs the item. An exhaustive search would pay N·(K−1) per
-  /// iteration, so equal `iterations` can hide very different costs.
+  /// fold refreshes the item's gain. An exhaustive search would pay
+  /// N·(K−1) per iteration, so equal `iterations` can hide very different
+  /// costs.
   std::size_t moves_evaluated = 0;
 
-  /// Per-item best-target pairs the index re-queried from scratch during
-  /// its folds (0 when no move was applied).
+  /// Benefit-order positions whose best target the index re-derived during
+  /// its folds: those whose piece channel changed or is one of the move's
+  /// two channels (0 when no move was applied).
   std::size_t index_repairs = 0;
 
   double total_reduction() const { return initial_cost - final_cost; }

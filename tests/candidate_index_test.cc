@@ -74,23 +74,62 @@ TEST(CandidateIndex, AgreesWithScanAlongAGreedyTrajectory) {
 TEST(CandidateIndex, AgreesWithScanUnderArbitraryMoves) {
   // apply() accepts any legal move, not just the one best_move() returned.
   // A random walk exercises the fold/repair machinery under dynamics a
-  // greedy descent never produces (cost-increasing moves, revisits).
-  const Database db = generate_database({.items = 60, .diversity = 3.0, .seed = 22});
-  const ChannelId k = 5;
-  Allocation alloc(db, k, [&] {
-    Rng rng(7);
-    std::vector<ChannelId> start(db.size());
-    for (auto& c : start) c = static_cast<ChannelId>(rng.below(k));
-    return start;
-  }());
-  CandidateIndex index(alloc);
-  Rng rng(99);
-  for (int step = 0; step < 200; ++step) {
-    expect_matches_scan(alloc, index, "random walk");
-    const ItemId item = static_cast<ItemId>(rng.below(db.size()));
-    ChannelId to = static_cast<ChannelId>(rng.below(k));
-    if (to == alloc.assignment()[item]) to = static_cast<ChannelId>((to + 1) % k);
-    index.apply(CdsMove{item, alloc.assignment()[item], to, 0.0});
+  // greedy descent never produces (cost-increasing moves, revisits). The
+  // second shape walks away from a CDS local optimum, whose channel points
+  // spread along the lower hull (about a dozen pieces at K = 64), so the
+  // walk also checks folds in which the target's piece vanishes and folds in
+  // which the source's piece appears between two others.
+  struct Shape {
+    std::size_t items;
+    ChannelId channels;
+    std::uint64_t seed;
+    bool from_local_optimum;  // else from a random assignment
+  };
+  for (const Shape shape : {Shape{60, 5, 22, false}, Shape{400, 64, 28, true}}) {
+    const Database db = generate_database({.items = shape.items, .diversity = 3.0,
+                                           .seed = shape.seed});
+    const ChannelId k = shape.channels;
+    Allocation alloc = [&] {
+      if (shape.from_local_optimum) {
+        Allocation optimum = run_drp(db, k).allocation;
+        run_cds(optimum);
+        return optimum;
+      }
+      Rng rng(7);
+      std::vector<ChannelId> start(db.size());
+      for (auto& c : start) c = static_cast<ChannelId>(rng.below(k));
+      return Allocation(db, k, start);
+    }();
+    CandidateIndex index(alloc);
+    Rng rng(99);
+    for (int step = 0; step < 200; ++step) {
+      expect_matches_scan(alloc, index, "random walk");
+      const ItemId item = static_cast<ItemId>(rng.below(db.size()));
+      ChannelId to = static_cast<ChannelId>(rng.below(k));
+      if (to == alloc.assignment()[item]) to = static_cast<ChannelId>((to + 1) % k);
+      index.apply(CdsMove{item, alloc.assignment()[item], to, 0.0});
+    }
+  }
+}
+
+TEST(CandidateIndex, ExactLoadTiesGoToTheSmallerChannelLikeTheScan) {
+  // A zero-frequency item's load on channel c is z·F_c, so two channels with
+  // equal F tie exactly although they are distinct hull vertices (the two
+  // ends of a flat hull edge). The scan moves such an item to the smaller
+  // id, and so must the index, whichever end of the edge that id sits on.
+  // Item 0 (f = 0) and item 1 (f = 3) share channel 0; items 2 (z = 3) and
+  // 3 (z = 1) put F = 1/5 on channels 1 and 2 in both orders.
+  const Database db({1.0, 1.0, 3.0, 1.0}, {0.0, 3.0, 1.0, 1.0});
+  for (const bool smaller_id_on_left : {true, false}) {
+    Allocation alloc(db, 3,
+                     smaller_id_on_left ? std::vector<ChannelId>{0, 0, 2, 1}
+                                        : std::vector<ChannelId>{0, 0, 1, 2});
+    CandidateIndex index(alloc);
+    const CdsMove scan = best_move(alloc);
+    ASSERT_EQ(scan.item, 0u);
+    ASSERT_EQ(scan.to, 1u);
+    expect_matches_scan(alloc, index, smaller_id_on_left ? "smaller id on the left"
+                                                         : "smaller id on the right");
   }
 }
 

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
+#include <vector>
 
 #include "brute_cds.h"
 #include "core/drp.h"
@@ -177,6 +179,43 @@ TEST(CdsIndexed, IdenticalFromArbitraryStartsToo) {
   const std::size_t brute_moves = brute_force_cds(brute);
   EXPECT_EQ(run_cds(indexed).iterations, brute_moves);
   EXPECT_EQ(brute.assignment(), indexed.assignment());
+}
+
+TEST(CdsIndexed, ReachesALocalOptimumOnTieHeavyIntegerCatalogues) {
+  // Integer sizes and frequencies make exact load ties between channels, and
+  // between items of equal benefit ratio, common; zero frequencies (about a
+  // third) sort to the end of the benefit order. An exact tie may be broken
+  // one way by the index's loads and another by brute_force_cds's Eq.-4
+  // gains, so the trajectories can differ; what must hold is the loop's
+  // contract: no cost increase, and a local optimum at the end.
+  Rng rng(2005);
+  const double min_gain = CdsOptions{}.min_gain;
+  for (int instance = 0; instance < 200; ++instance) {
+    const std::size_t n = 2 + static_cast<std::size_t>(rng.below(79));
+    std::vector<double> sizes(n);
+    std::vector<double> freqs(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      sizes[i] = static_cast<double>(rng.between(1, 5));
+      freqs[i] = rng.chance(1.0 / 3.0) ? 0.0 : static_cast<double>(rng.between(1, 7));
+    }
+    if (std::all_of(freqs.begin(), freqs.end(), [](double f) { return f == 0.0; })) {
+      freqs[static_cast<std::size_t>(rng.below(n))] = 1.0;
+    }
+    const Database db(sizes, freqs);
+    const ChannelId k = static_cast<ChannelId>(rng.between(2, 31));
+    std::vector<ChannelId> scattered(n);
+    for (auto& c : scattered) c = static_cast<ChannelId>(rng.below(k));
+    for (const bool all_on_zero : {false, true}) {
+      Allocation alloc = all_on_zero ? Allocation(db, k) : Allocation(db, k, scattered);
+      const double before = alloc.cost();
+      const CdsStats stats = run_cds(alloc);
+      const std::string context = "instance " + std::to_string(instance) +
+                                  (all_on_zero ? " from channel 0" : " from scattered");
+      EXPECT_TRUE(stats.converged) << context;
+      EXPECT_LE(best_move(alloc).gain, min_gain) << context;
+      EXPECT_LE(alloc.cost(), before) << context;
+    }
+  }
 }
 
 TEST(CdsIndexed, SingleChannelNoop) {
