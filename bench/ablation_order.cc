@@ -4,7 +4,7 @@
 #include <cstdio>
 
 #include "baselines/ordered_dp.h"
-#include "core/drp_cds.h"
+#include "core/drp.h"
 #include "harness.h"
 
 int main(int argc, char** argv) {
@@ -37,10 +37,9 @@ int main(int argc, char** argv) {
           if (use_dp) {
             total += ordered_dp_optimal(db, d.channels, order).cost();
           } else {
-            DrpCdsOptions opt;
-            opt.drp.ordering = order;
-            opt.run_cds = false;
-            total += run_drp_cds(db, d.channels, opt).final_cost;
+            DrpOptions opt;
+            opt.ordering = order;
+            total += run_drp(db, d.channels, opt).allocation.cost();
           }
         }
         cells.push_back(total / static_cast<double>(options.trials));

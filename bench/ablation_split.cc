@@ -38,8 +38,8 @@ int main(int argc, char** argv) {
                                                  .seed = 7000 + k * 17 + trial});
           DrpCdsOptions opt;
           opt.drp.selection = rule;
-          opt.run_cds = with_cds;
-          total += run_drp_cds(db, k, opt).final_cost;
+          total += with_cds ? run_drp_cds(db, k, opt).final_cost
+                            : run_drp(db, k, opt.drp).allocation.cost();
         }
         cells.push_back(total / static_cast<double>(options.trials));
       }

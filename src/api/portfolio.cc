@@ -57,7 +57,7 @@ PortfolioResult plan(const Database& db, ChannelId channels, double deadline_ms,
         DrpCdsOptions opts = options.drp_cds;
         opts.cds.deadline = deadline;
         DrpCdsResult result = run_drp_cds(db, channels, opts);
-        slot.completed = !opts.run_cds || result.cds.converged;
+        slot.completed = result.cds.converged;
         slot.allocation.emplace(std::move(result.allocation));
         break;
       }

@@ -1,5 +1,7 @@
-// Budgeted optimizer portfolio (ROADMAP item 3, DESIGN.md §13): the "best
-// answer by a deadline" entry point the online service escalates to.
+// Budgeted optimizer portfolio (DESIGN.md §13): the "best answer by a
+// deadline" entry point, reachable directly and as Algorithm::kPortfolio.
+// The online service (src/serve) does not use it; its rebuild is plain
+// DRP-CDS.
 //
 // plan() races three complementary planners on the shared worker pool
 // (common/parallel.h):

@@ -75,18 +75,12 @@ ScheduleResult schedule(const Database& db, const ScheduleRequest& request) {
     case Algorithm::kVfk:
       alloc = run_vfk(db, request.channels);
       break;
-    case Algorithm::kDrp: {
-      DrpCdsOptions options = request.drp_cds;
-      options.run_cds = false;
-      alloc = run_drp_cds(db, request.channels, options).allocation;
+    case Algorithm::kDrp:
+      alloc = run_drp(db, request.channels, request.drp_cds.drp).allocation;
       break;
-    }
-    case Algorithm::kDrpCds: {
-      DrpCdsOptions options = request.drp_cds;
-      options.run_cds = true;
-      alloc = run_drp_cds(db, request.channels, options).allocation;
+    case Algorithm::kDrpCds:
+      alloc = run_drp_cds(db, request.channels, request.drp_cds).allocation;
       break;
-    }
     case Algorithm::kOrderedDp:
       alloc = ordered_dp_optimal(db, request.channels);
       break;

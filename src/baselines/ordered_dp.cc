@@ -1,9 +1,8 @@
 #include "baselines/ordered_dp.h"
 
-#include <algorithm>
 #include <limits>
-#include <numeric>
 #include <optional>
+#include <utility>
 
 #include "common/check.h"
 #include "core/partition.h"
@@ -16,26 +15,7 @@ Allocation ordered_dp_optimal(const Database& db, ChannelId channels,
   DBS_CHECK(channels >= 1);
   DBS_CHECK_MSG(channels <= n, "cannot fill more channels than items");
 
-  std::vector<ItemId> order;
-  switch (ordering) {
-    case ItemOrdering::kBenefitRatioDesc:
-      // GOPT's canonical ordering: reuse the Database's cached sort.
-      order = db.benefit_order();
-      break;
-    case ItemOrdering::kFreqDesc:
-      order = db.ids_by_freq_desc();
-      break;
-    case ItemOrdering::kSizeAsc: {
-      order.resize(n);
-      std::iota(order.begin(), order.end(), 0);
-      std::stable_sort(order.begin(), order.end(), [&db](ItemId a, ItemId b) {
-        if (db.item(a).size != db.item(b).size) return db.item(a).size < db.item(b).size;
-        return a < b;
-      });
-      break;
-    }
-  }
-
+  const std::vector<ItemId> order = ordered_ids(db, ordering);
   std::optional<PrefixSums> local_sums;
   if (ordering != ItemOrdering::kBenefitRatioDesc) local_sums.emplace(db, order);
   const PrefixSums& sums =

@@ -10,7 +10,6 @@
 #include "obs/obs.h"
 
 namespace dbs {
-namespace {
 
 std::vector<ItemId> ordered_ids(const Database& db, ItemOrdering ordering) {
   switch (ordering) {
@@ -31,6 +30,8 @@ std::vector<ItemId> ordered_ids(const Database& db, ItemOrdering ordering) {
   DBS_CHECK_MSG(false, "unknown ItemOrdering");
   return {};
 }
+
+namespace {
 
 /// Priority of a group under the configured selection rule.
 double selection_key(const DrpGroup& g, SplitSelection selection,

@@ -30,6 +30,11 @@ enum class ItemOrdering {
   kSizeAsc,           ///< size ascending (size-only view)
 };
 
+/// \brief The item ids of `db` in the given ordering, ties broken by id.
+/// kBenefitRatioDesc copies the Database's cached benefit_order(); the
+/// ablation orderings sort afresh.
+std::vector<ItemId> ordered_ids(const Database& db, ItemOrdering ordering);
+
 /// DRP tuning knobs; defaults reproduce the paper exactly.
 struct DrpOptions {
   SplitSelection selection = SplitSelection::kMaxCost;

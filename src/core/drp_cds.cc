@@ -8,11 +8,7 @@ DrpCdsResult run_drp_cds(const Database& db, ChannelId channels,
   DrpResult drp = run_drp(db, channels, options.drp);
   DrpCdsResult result{std::move(drp.allocation), 0.0, 0.0, {}};
   result.drp_cost = result.allocation.cost();
-  if (options.run_cds) {
-    result.cds = run_cds(result.allocation, options.cds);
-  } else {
-    result.cds.initial_cost = result.cds.final_cost = result.drp_cost;
-  }
+  result.cds = run_cds(result.allocation, options.cds);
   result.final_cost = result.allocation.cost();
   return result;
 }

@@ -17,7 +17,6 @@ namespace dbs {
 struct DrpCdsOptions {
   DrpOptions drp;
   CdsOptions cds;
-  bool run_cds = true;  ///< disable to obtain plain DRP through the same API
 };
 
 /// Combined run record: costs after each stage plus CDS statistics.
@@ -25,7 +24,7 @@ struct DrpCdsResult {
   Allocation allocation;
   double drp_cost = 0.0;   ///< cost after the rough allocation
   double final_cost = 0.0; ///< cost after refinement
-  CdsStats cds;            ///< zero-iteration stats when run_cds is false
+  CdsStats cds;            ///< the refinement's statistics
 };
 
 /// \brief Runs DRP followed by CDS. Requires 1 ≤ K ≤ N.

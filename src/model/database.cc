@@ -39,27 +39,30 @@ void Database::validate_and_normalize() {
   }
   DBS_CHECK_MSG(freq_sum > 0.0, "total access frequency must be positive");
 
-  total_size_ = 0.0;
-  weighted_size_ = 0.0;
-  br_.resize(freq_.size());
-  for (std::size_t i = 0; i < freq_.size(); ++i) {
-    freq_[i] /= freq_sum;
-    total_size_ += size_[i];
-    weighted_size_ += freq_[i] * size_[i];
-    br_[i] = freq_[i] / size_[i];
-  }
-
   // The benefit order and its prefix sums are part of the catalogue: every
   // scheduler run shares this one sort instead of re-deriving it (the sort
-  // used to dominate DRP's measured wall time at N = 10^6).
-  benefit_order_.resize(freq_.size());
-  std::iota(benefit_order_.begin(), benefit_order_.end(), 0);
-  std::stable_sort(benefit_order_.begin(), benefit_order_.end(),
-                   [this](ItemId a, ItemId b) {
-                     if (br_[a] != br_[b]) return br_[a] > br_[b];
-                     return a < b;
-                   });
-  benefit_prefix_.update_suffix(*this, benefit_order_, 0);
+  // used to dominate DRP's measured wall time at N = 10^6). The ratio f/z is
+  // only the sort key; it lives in this block, so its memory is free again
+  // before the prefix sums allocate theirs.
+  total_size_ = 0.0;
+  weighted_size_ = 0.0;
+  {
+    std::vector<double> ratio(freq_.size());
+    for (std::size_t i = 0; i < freq_.size(); ++i) {
+      freq_[i] /= freq_sum;
+      total_size_ += size_[i];
+      weighted_size_ += freq_[i] * size_[i];
+      ratio[i] = freq_[i] / size_[i];
+    }
+    benefit_order_.resize(freq_.size());
+    std::iota(benefit_order_.begin(), benefit_order_.end(), 0);
+    std::stable_sort(benefit_order_.begin(), benefit_order_.end(),
+                     [&ratio](ItemId a, ItemId b) {
+                       if (ratio[a] != ratio[b]) return ratio[a] > ratio[b];
+                       return a < b;
+                     });
+  }
+  benefit_prefix_ = PrefixSums(*this, benefit_order_);
 }
 
 Item Database::item(ItemId id) const {

@@ -1,10 +1,10 @@
 // The broadcast database D: the full catalogue of items to disseminate.
 //
 // Columnar core (PR 7): the catalogue is stored as structure-of-arrays —
-// contiguous `f`, `z` and benefit-ratio columns — so the schedulers' inner
-// loops stream over cache-line-dense memory instead of gathering fields out
-// of an array of structs. The row view (`Item`) is materialized on demand
-// for IO and tests; see docs/ARCHITECTURE.md §3 for the layout contract.
+// contiguous `f` and `z` columns — so the schedulers' inner loops stream
+// over cache-line-dense memory instead of gathering fields out of an array
+// of structs. The row view (`Item`) is materialized on demand for IO and
+// tests; see docs/ARCHITECTURE.md §3 for the layout contract.
 #pragma once
 
 #include <cstddef>
@@ -27,10 +27,10 @@ namespace dbs {
 /// Item ids are the positions in the original input order, so an Allocation's
 /// assignment vector can be indexed by ItemId.
 ///
-/// Storage is columnar: freqs(), sizes() and benefit_ratios() expose the
-/// three item columns as contiguous spans, and the benefit-ratio descending
-/// order (DRP's input order) is computed once at construction together with
-/// its PrefixSums — every scheduler run shares those instead of re-sorting.
+/// Storage is columnar: freqs() and sizes() expose the two item columns as
+/// contiguous spans, and the benefit-ratio descending order (DRP's input
+/// order) is computed once at construction together with its PrefixSums —
+/// every scheduler run shares those instead of re-sorting.
 class Database {
  public:
   /// \brief Builds a database from (size, freq) pairs; ids are assigned
@@ -55,9 +55,6 @@ class Database {
 
   /// \brief The item-size column z, indexed by ItemId.
   std::span<const double> sizes() const { return size_; }
-
-  /// \brief The benefit-ratio column f/z, indexed by ItemId (paper §3.1).
-  std::span<const double> benefit_ratios() const { return br_; }
 
   /// \brief Σ z_j over the whole database.
   double total_size() const { return total_size_; }
@@ -84,7 +81,6 @@ class Database {
 
   std::vector<double> freq_;  // f_j, normalized to Σ f = 1
   std::vector<double> size_;  // z_j
-  std::vector<double> br_;    // f_j / z_j, derived after normalization
   double total_size_ = 0.0;
   double weighted_size_ = 0.0;
   std::vector<ItemId> benefit_order_;

@@ -5,27 +5,13 @@
 
 namespace dbs {
 
-PrefixSums::PrefixSums(const Database& db, std::span<const ItemId> order) {
-  // dbs-lint: contract delegated to update_suffix (validates order length)
-  update_suffix(db, order, 0);
-}
-
-void PrefixSums::update_suffix(const Database& db, std::span<const ItemId> order,
-                               std::size_t first_changed) {
+PrefixSums::PrefixSums(const Database& db, std::span<const ItemId> order)
+    : freq(order.size() + 1), size(order.size() + 1) {
   DBS_CHECK_MSG(order.size() <= db.size(),
                 "order names more items than the database holds");
-  DBS_CHECK_MSG(first_changed <= order.size(),
-                "suffix start " << first_changed << " beyond order length "
-                                << order.size());
-  // A shrunken or grown order invalidates everything from the shorter of the
-  // two lengths; the caller's first_changed already accounts for edits.
-  freq.resize(order.size() + 1);
-  size.resize(order.size() + 1);
-  freq[0] = 0.0;
-  size[0] = 0.0;
   const std::span<const double> item_freq = db.freqs();
   const std::span<const double> item_size = db.sizes();
-  for (std::size_t i = first_changed; i < order.size(); ++i) {
+  for (std::size_t i = 0; i < order.size(); ++i) {
     const ItemId id = order[i];
     DBS_CHECK_MSG(id < db.size(), "order names unknown item " << id);
     freq[i + 1] = freq[i] + item_freq[id];

@@ -6,8 +6,7 @@
 // order, so DRP, OrderedDp and the CDS candidate index all share a single
 // build instead of re-deriving per-run (see docs/ARCHITECTURE.md §4).
 //
-// Invariants (checked by tests/partition_test.cc and the incremental-update
-// unit test):
+// Invariants (checked by tests/partition_test.cc):
 //   * freq.size() == size.size() == n + 1 for an order of n items;
 //   * freq[0] == size[0] == 0;
 //   * freq[i+1] == freq[i] + f(order[i]) evaluated left to right, so the
@@ -40,7 +39,7 @@ struct PrefixSums {
   PrefixSums() : freq(1, 0.0), size(1, 0.0) {}
 
   /// \brief Builds prefix sums over `order`, a permutation (or subset) of
-  /// item ids of `db`.
+  /// item ids of `db`, accumulating strictly left to right.
   PrefixSums(const Database& db, std::span<const ItemId> order);
 
   /// \brief Aggregate frequency of slice [a, b).
@@ -54,18 +53,6 @@ struct PrefixSums {
 
   /// \brief Number of items covered (one less than the prefix length).
   std::size_t items() const { return freq.empty() ? 0 : freq.size() - 1; }
-
-  /// \brief Incrementally re-derives the suffix starting at order position
-  /// `first_changed` after `order[first_changed..)` was edited in place.
-  ///
-  /// Positions before `first_changed` are untouched, so the repaired sums
-  /// are bit-identical to a full rebuild over the new order — the planner
-  /// and the online-repair loop (ROADMAP items 2–3) reorder only a tail
-  /// segment and pay O(n − first_changed) instead of O(n). `order` must be
-  /// the *current* (post-edit) order and may also be longer or shorter than
-  /// the previously covered sequence; storage grows or shrinks to match.
-  void update_suffix(const Database& db, std::span<const ItemId> order,
-                     std::size_t first_changed);
 };
 
 }  // namespace dbs

@@ -4,9 +4,9 @@
 #include <memory>
 #include <utility>
 
-#include "api/portfolio.h"
 #include "common/check.h"
 #include "common/stopwatch.h"
+#include "core/drp_cds.h"
 #include "model/cost.h"
 #include "obs/obs.h"
 
@@ -18,20 +18,14 @@ ProgramSnapshot::ProgramSnapshot(Database database, ChannelId channels,
     : db(std::move(database)),
       alloc(db, channels, std::move(assignment)),
       version(version),
-      epoch(version),
       cost(alloc.cost()),
       waiting_time(program_waiting_time(alloc, bandwidth)) {}
 
 BroadcastServerLoop::BroadcastServerLoop(std::vector<double> item_sizes,
                                          const ServerLoopConfig& config)
     : config_(config), sizes_(std::move(item_sizes)),
-      tracker_(sizes_.size(), config.tracker_decay, config.tracker_alpha) {
+      tracker_(sizes_.size(), config.tracker_decay, kLaplaceAlpha) {
   DBS_CHECK(config.bandwidth > 0.0);
-  DBS_CHECK(config.rebuild_threshold >= 0.0);
-  DBS_CHECK(config.escalate_threshold >= 0.0);
-  DBS_CHECK(config.escalation_deadline_ms >= 0.0);
-  DBS_CHECK_MSG(config.reference_decay >= 0.0 && config.reference_decay <= 1.0,
-                "reference_decay must lie in [0, 1]");
   DBS_CHECK_MSG(config.channels <= sizes_.size(),
                 "cannot fill more channels than items");
   const MutexLock lock(mutex_);
@@ -81,66 +75,34 @@ EpochReport BroadcastServerLoop::observe_window(const std::vector<Request>& wind
   report.estimator_staleness = tracker_.effective_windows();
   report.reference_cost = reference_cost_;
   report.cost_excess = repaired.final_cost / reference_cost_ - 1.0;
-
-  // Trigger evaluation (DESIGN.md §12). The stall band opens at half the
-  // regression margin: a zero-move repair with the cost parked there is
-  // wedged in a local optimum it cannot leave, while near-reference
-  // zero-move epochs are plain steady state and must never escalate.
-  const bool elevated = report.cost_excess >= config_.escalate_threshold;
-  const bool in_stall_band =
-      report.cost_excess >= 0.5 * config_.escalate_threshold;
-  if (in_stall_band && repaired.cds.iterations == 0) {
-    ++stall_streak_;
-  } else {
-    stall_streak_ = 0;
-  }
-  report.stall_streak = stall_streak_;
-
-  if (!config_.never_escalate) {
-    if (elevated) {
-      report.escalation_reason = EscalationReason::kCostRegression;
-    } else if (config_.stall_epochs > 0 && stall_streak_ >= config_.stall_epochs) {
-      report.escalation_reason = EscalationReason::kRepairStalled;
-    }
-  }
-  report.escalated = report.escalation_reason != EscalationReason::kNone;
+  report.escalated = report.cost_excess >= kEscalateThreshold;
 
   double chosen_cost = repaired.final_cost;
   if (report.escalated) {
     Stopwatch rebuild_watch;
-    // The escalation path (DESIGN.md §13): with a configured budget the
-    // rebuild is the portfolio race — never worse than DRP-CDS alone and
-    // bounded in wall time — otherwise the classic unbudgeted DRP-CDS.
-    auto [rebuilt_allocation, rebuilt_cost] = [&]() -> std::pair<Allocation, double> {
+    DrpCdsResult rebuilt = [&] {
       DBS_OBS_SPAN("serve.epoch.rebuild");
-      if (config_.escalation_deadline_ms > 0.0) {
-        PortfolioResult raced =
-            plan(fresh, config_.channels, config_.escalation_deadline_ms);
-        return {std::move(raced.allocation), raced.cost};
-      }
-      DrpCdsResult rebuilt = run_drp_cds(fresh, config_.channels);
-      return {std::move(rebuilt.allocation), rebuilt.final_cost};
+      return run_drp_cds(fresh, config_.channels);
     }();
     report.rebuild_ms = rebuild_watch.millis();
-    report.rebuilt_cost = rebuilt_cost;
+    report.rebuilt_cost = rebuilt.final_cost;
     report.adopted_rebuild =
-        rebuilt_cost < repaired.final_cost * (1.0 - config_.rebuild_threshold);
+        rebuilt.final_cost < repaired.final_cost * (1.0 - kAdoptMargin);
     if (report.adopted_rebuild) {
-      repaired.allocation = std::move(rebuilt_allocation);
-      chosen_cost = rebuilt_cost;
+      repaired.allocation = std::move(rebuilt.allocation);
+      chosen_cost = rebuilt.final_cost;
     }
     // Whether adopted or not, the escalation measured the truly achievable
     // cost on this estimate: resetting the reference to it stops the trigger
     // from re-firing every epoch after drift genuinely raised the optimum.
-    reference_cost_ = std::min(repaired.final_cost, rebuilt_cost);
-    stall_streak_ = 0;
+    reference_cost_ = std::min(repaired.final_cost, rebuilt.final_cost);
   } else if (chosen_cost < reference_cost_) {
     reference_cost_ = chosen_cost;  // new best-known
   } else {
     // Decayed best-known reference: relax toward the observed cost so slow
     // genuine drift stops registering as regression eventually.
-    reference_cost_ = (1.0 - config_.reference_decay) * reference_cost_ +
-                      config_.reference_decay * chosen_cost;
+    reference_cost_ = (1.0 - kReferenceDecay) * reference_cost_ +
+                      kReferenceDecay * chosen_cost;
   }
 
   DBS_OBS_COUNTER_INC("serve.epochs");
@@ -148,11 +110,6 @@ EpochReport BroadcastServerLoop::observe_window(const std::vector<Request>& wind
   DBS_OBS_COUNTER_ADD("serve.repair_moves", report.repair_moves);
   if (report.escalated) {
     DBS_OBS_COUNTER_INC("serve.escalations");
-    if (report.escalation_reason == EscalationReason::kCostRegression) {
-      DBS_OBS_COUNTER_INC("serve.escalation.cost_regression");
-    } else {
-      DBS_OBS_COUNTER_INC("serve.escalation.repair_stalled");
-    }
     DBS_OBS_HISTOGRAM_OBSERVE("serve.rebuild_ms", report.rebuild_ms);
   }
   if (report.adopted_rebuild) DBS_OBS_COUNTER_INC("serve.rebuild_adoptions");
@@ -171,7 +128,6 @@ EpochReport BroadcastServerLoop::observe_window(const std::vector<Request>& wind
   report.version = next->version;
   report.waiting_time = next->waiting_time;
   publish(std::move(next));
-  report.metrics = obs::MetricsRegistry::global().snapshot();
   return report;
 }
 

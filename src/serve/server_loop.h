@@ -1,9 +1,8 @@
 // The operational broadcast-server loop of the paper's Figure 1, grown into
-// an online re-allocation service (ROADMAP item 2, DESIGN.md §12): the
-// server streams the access patterns of mobile users into a decayed-count
-// estimate and keeps the program on air near-optimal with *incremental*
-// repair, escalating to a full rebuild only when repair demonstrably stops
-// being good enough.
+// an online re-allocation service (DESIGN.md §12): the server streams the
+// access patterns of mobile users into a decayed-count estimate and keeps
+// the program on air near-optimal with *incremental* repair, escalating to
+// a full rebuild only when repair demonstrably stops being good enough.
 //
 // Each epoch:
 //   1. fold the observed request window into the DecayedFrequencyTracker
@@ -11,10 +10,9 @@
 //   2. repair the carried-over assignment with CDS moves from where it is
 //      (core/drp_cds.h repair_assignment) — the cheap steady-state path;
 //   3. compare the repaired cost against a decayed best-known reference
-//      cost; only when the excess crosses the regression trigger, or repair
-//      stalls while elevated for `stall_epochs` in a row, run the full
-//      DRP-CDS rebuild and adopt it if it beats the repair by
-//      `rebuild_threshold` — so steady-state epochs never pay for a rebuild;
+//      cost; only when it is kEscalateThreshold or more above it, run the
+//      full DRP-CDS rebuild and adopt it if it beats the repair by
+//      kAdoptMargin — so steady-state epochs never pay for a rebuild;
 //   4. publish the chosen program as a fresh immutable versioned snapshot.
 //
 // Concurrency model (DESIGN.md §11): the estimator and control-loop state
@@ -22,16 +20,16 @@
 // DBS_GUARDED_BY contracts below), while the program on air is published as
 // an immutable, versioned ProgramSnapshot in a slot guarded by a dedicated
 // publish mutex that is only ever held for the O(1) shared_ptr copy/swap —
-// the RCU-style hand-off of ROADMAP item 2. Readers copy the snapshot
-// pointer in that micro critical section and keep the snapshot alive for as
-// long as they hold the shared_ptr; the epoch's actual work (estimation,
-// repair, rebuild) runs entirely outside the publish mutex, so a concurrent
-// observe_window() never blocks readers on computation and never mutates a
-// snapshot they can see. Snapshot versions are strictly monotone across
-// publishes. (A std::atomic<std::shared_ptr> would make the read truly
-// lock-free, but libstdc++'s _Sp_atomic spinlock predates its TSan
-// annotations on the oldest toolchain this repo supports, so the annotated
-// Mutex slot is the contract the sanitizers and -Wthread-safety can check.)
+// an RCU-style hand-off. Readers copy the snapshot pointer in that micro
+// critical section and keep the snapshot alive for as long as they hold the
+// shared_ptr; the epoch's actual work (estimation, repair, rebuild) runs
+// entirely outside the publish mutex, so a concurrent observe_window()
+// never blocks readers on computation and never mutates a snapshot they can
+// see. Snapshot versions are strictly monotone across publishes. (A
+// std::atomic<std::shared_ptr> would make the read truly lock-free, but
+// libstdc++'s _Sp_atomic spinlock predates its TSan annotations on the
+// oldest toolchain this repo supports, so the annotated Mutex slot is the
+// contract the sanitizers and -Wthread-safety can check.)
 #pragma once
 
 #include <cstddef>
@@ -39,54 +37,22 @@
 #include <vector>
 
 #include "common/sync.h"
-#include "core/drp_cds.h"
 #include "model/allocation.h"
 #include "model/database.h"
-#include "obs/metrics.h"
 #include "workload/estimate.h"
 #include "workload/trace.h"
 
 namespace dbs {
 
-/// Server-loop configuration.
+/// Server-loop configuration: the channel plan plus the one estimator
+/// setting that depends on the deployment.
 struct ServerLoopConfig {
   ChannelId channels = 6;
   double bandwidth = 10.0;
-  double tracker_decay = 0.5;      ///< per-window count decay ρ, in (0, 1]
-  double tracker_alpha = 1.0;      ///< Laplace smoothing mass per item
-  double rebuild_threshold = 0.01; ///< adopt a rebuild if ≥1% better than repair
-
-  /// Cost-regression trigger: escalate to a full rebuild when the repaired
-  /// cost exceeds the decayed best-known reference by this relative margin.
-  /// 0 is the hair-trigger edge: any epoch whose repair fails to improve on
-  /// the reference escalates, approximating the legacy compute-both loop.
-  double escalate_threshold = 0.05;
-  /// Stall trigger: escalate when repair applies zero moves while the cost
-  /// sits in the elevated band (≥ half the regression margin above the
-  /// reference) for this many consecutive epochs. 0 disables the trigger.
-  std::size_t stall_epochs = 4;
-  /// How fast the best-known reference forgets: when the chosen cost lands
-  /// above the reference without escalating, the reference relaxes toward it
-  /// with this weight, so genuine slow drift stops reading as regression.
-  double reference_decay = 0.05;
-  /// Pins the service to repair-only operation: no epoch ever runs the full
-  /// DRP-CDS rebuild, whatever the triggers say.
-  bool never_escalate = false;
-
-  /// Budget for an escalated re-plan, in milliseconds. 0 (the default)
-  /// keeps the classic unbudgeted DRP-CDS rebuild; > 0 races the optimizer
-  /// portfolio (api/portfolio.h: DRP-CDS, KK-CDS, deadline-capped GOPT)
-  /// under this deadline and adopts its winner instead — so even a forced
-  /// rebuild epoch has a bounded worst-case wall time, and the rebuild
-  /// quality is never worse than DRP-CDS alone would have delivered.
-  double escalation_deadline_ms = 0.0;
-};
-
-/// Why an epoch escalated to a full DRP-CDS rebuild.
-enum class EscalationReason {
-  kNone,            ///< steady state: repair was good enough
-  kCostRegression,  ///< repaired cost ≥ reference · (1 + escalate_threshold)
-  kRepairStalled,   ///< zero-move repairs while elevated for stall_epochs
+  /// Per-window count decay ρ of the popularity estimate, in (0, 1]. How
+  /// fast a deployment's popularity drifts, and so how much history the
+  /// estimate should keep, is something only the deployment can observe.
+  double tracker_decay = 0.5;
 };
 
 /// Per-epoch record.
@@ -103,15 +69,11 @@ struct EpochReport {
   /// was folded back into the reference.
   double reference_cost = 0.0;
   double cost_excess = 0.0;
-  /// Consecutive elevated zero-move epochs, including this one (resets on
-  /// any repair progress, on leaving the elevated band, and on escalation).
-  std::size_t stall_streak = 0;
 
-  /// Escalation outcome. rebuilt_cost and rebuild_ms are meaningful only
-  /// when `escalated` — steady-state epochs never run the rebuild and
-  /// report both as 0.
+  /// Escalation outcome: `escalated` iff cost_excess ≥ kEscalateThreshold.
+  /// rebuilt_cost and rebuild_ms are meaningful only when `escalated` —
+  /// steady-state epochs never run the rebuild and report both as 0.
   bool escalated = false;
-  EscalationReason escalation_reason = EscalationReason::kNone;
   double rebuilt_cost = 0.0;    ///< full DRP-CDS from scratch (escalated only)
   bool adopted_rebuild = false;
 
@@ -126,19 +88,13 @@ struct EpochReport {
   double repair_ms = 0.0;
   /// Wall time of the DRP-CDS rebuild (0 when the epoch did not escalate).
   double rebuild_ms = 0.0;
-
-  /// Snapshot of the process-global metrics registry taken at the end of the
-  /// epoch, so operators see cumulative per-decision telemetry (CDS moves,
-  /// DRP splits, ...) next to the epoch's costs. Empty when DBS_OBS=OFF.
-  obs::MetricsSnapshot metrics;
 };
 
 /// Immutable program version: the database the program was planned against,
-/// the allocation on air (bound to that database), the version/epoch that
-/// produced it, its cost and waiting time. Snapshots are built once,
-/// published by swapping the guarded shared_ptr slot, and never mutated
-/// afterwards — any number of concurrent readers can hold one while the
-/// server moves on.
+/// the allocation on air (bound to that database), its version number, its
+/// cost and waiting time. Snapshots are built once, published by swapping
+/// the guarded shared_ptr slot, and never mutated afterwards — any number of
+/// concurrent readers can hold one while the server moves on.
 struct ProgramSnapshot {
   /// Builds the snapshot and binds `alloc` to the stored `db` copy.
   ProgramSnapshot(Database database, ChannelId channels,
@@ -155,7 +111,6 @@ struct ProgramSnapshot {
   /// Publication version, strictly monotone across publishes; equals the
   /// epoch that produced the snapshot (version 0 is the initial program).
   const std::size_t version;
-  const std::size_t epoch;       ///< alias of version, kept for reports
   const double cost;             ///< alloc.cost() recorded at build time
   const double waiting_time;     ///< W_b of alloc at the config bandwidth
 };
@@ -164,16 +119,36 @@ struct ProgramSnapshot {
 /// the repair/rebuild control loop and the published program versions.
 /// observe_window() is the single writer (safe to call from any one thread
 /// at a time; the mutex makes concurrent callers serialize rather than
-/// race); snapshot() is a wait-free reader safe from any thread.
+/// race); snapshot() is the one read path, safe from any thread.
 class BroadcastServerLoop {
  public:
+  /// Escalate when the repaired cost is at least 5% above the reference:
+  /// the estimate's window-to-window noise under steady traffic stays
+  /// below that, while a real popularity shift crosses it within a few
+  /// epochs (both pinned by tests/drift_serve_test.cc).
+  static constexpr double kEscalateThreshold = 0.05;
+  /// Adopt a rebuild only if it is at least 1% cheaper than the repair:
+  /// two local optima closer than that are equally good, and switching
+  /// would move items between channels (clients re-tune) for nothing.
+  static constexpr double kAdoptMargin = 0.01;
+  /// When a non-escalated epoch's cost lands above the reference, the
+  /// reference moves toward it by this weight, so a slow genuine rise of
+  /// the achievable cost stops reading as regression after about 1/0.05 =
+  /// 20 epochs instead of escalating every epoch.
+  static constexpr double kReferenceDecay = 0.05;
+  /// Laplace smoothing mass per item (the add-one rule): every item keeps
+  /// a positive frequency, so it stays on air before anyone requests it,
+  /// and one pseudo-request per item is small next to a window's traffic.
+  static constexpr double kLaplaceAlpha = 1.0;
+
   /// Starts from a uniform popularity estimate over the given item sizes and
   /// an initial DRP-CDS program (published as snapshot version 0).
   BroadcastServerLoop(std::vector<double> item_sizes, const ServerLoopConfig& config);
 
   /// Feeds one observed request window; returns what the server did. Takes
   /// the writer mutex for the whole epoch and publishes the chosen program
-  /// as a fresh immutable snapshot before returning.
+  /// as a fresh immutable snapshot before returning. A window naming an
+  /// unknown item throws ContractViolation and leaves the loop unchanged.
   EpochReport observe_window(const std::vector<Request>& window)
       DBS_EXCLUDES(mutex_);
 
@@ -187,17 +162,7 @@ class BroadcastServerLoop {
     return published_;
   }
 
-  /// The database under the current popularity estimate. Single-threaded
-  /// convenience accessor: the reference is only stable until the next
-  /// observe_window() — concurrent readers must use snapshot() instead.
-  const Database& database() const { return snapshot()->db; }
-
-  /// The allocation currently on air (valid for database()). Same lifetime
-  /// caveat as database(): concurrent readers use snapshot().
-  const Allocation& allocation() const { return snapshot()->alloc; }
-
   const ServerLoopConfig& config() const { return config_; }
-  std::size_t epochs() const { return snapshot()->epoch; }
 
  private:
   Database rebuild_database() const DBS_REQUIRES(mutex_);
@@ -208,18 +173,17 @@ class BroadcastServerLoop {
       DBS_EXCLUDES(publish_mutex_);
 
   // Concurrency contract: config_ and sizes_ are immutable after
-  // construction; the estimator, epoch counter and control-loop state
-  // (reference cost, stall streak) belong to the writer and are guarded by
-  // mutex_; published_ is the RCU hand-off slot readers copy from under
-  // publish_mutex_, which is never held across any computation. Lock order:
-  // mutex_ before publish_mutex_; readers take publish_mutex_ alone.
+  // construction; the estimator, epoch counter and reference cost belong to
+  // the writer and are guarded by mutex_; published_ is the RCU hand-off
+  // slot readers copy from under publish_mutex_, which is never held across
+  // any computation. Lock order: mutex_ before publish_mutex_; readers take
+  // publish_mutex_ alone.
   const ServerLoopConfig config_;
   const std::vector<double> sizes_;
   mutable Mutex mutex_;
   DecayedFrequencyTracker tracker_ DBS_GUARDED_BY(mutex_);
   std::size_t epoch_ DBS_GUARDED_BY(mutex_) = 0;
   double reference_cost_ DBS_GUARDED_BY(mutex_) = 0.0;
-  std::size_t stall_streak_ DBS_GUARDED_BY(mutex_) = 0;
   mutable Mutex publish_mutex_;
   std::shared_ptr<const ProgramSnapshot> published_ DBS_GUARDED_BY(publish_mutex_);
 };

@@ -23,23 +23,6 @@ std::vector<double> estimate_frequencies(const std::vector<Request>& window,
   return counts;
 }
 
-FrequencyTracker::FrequencyTracker(std::size_t items, double gain, double alpha)
-    : gain_(gain), alpha_(alpha),
-      estimate_(items, 1.0 / static_cast<double>(items)) {
-  DBS_CHECK(items > 0);
-  DBS_CHECK_MSG(gain > 0.0 && gain <= 1.0, "gain must lie in (0, 1]");
-  DBS_CHECK(alpha >= 0.0);
-}
-
-void FrequencyTracker::observe(const std::vector<Request>& window) {
-  const std::vector<double> fresh =
-      estimate_frequencies(window, estimate_.size(), alpha_);
-  for (std::size_t i = 0; i < estimate_.size(); ++i) {
-    estimate_[i] = (1.0 - gain_) * estimate_[i] + gain_ * fresh[i];
-  }
-  ++windows_;
-}
-
 DecayedFrequencyTracker::DecayedFrequencyTracker(std::size_t items, double decay,
                                                  double alpha)
     : decay_(decay), alpha_(alpha), counts_(items, 0.0) {
@@ -50,12 +33,14 @@ DecayedFrequencyTracker::DecayedFrequencyTracker(std::size_t items, double decay
 }
 
 void DecayedFrequencyTracker::observe(const std::vector<Request>& window) {
+  for (const Request& r : window) {
+    DBS_CHECK_MSG(r.item < counts_.size(), "request for unknown item " << r.item);
+  }
   if (decay_ < 1.0) {
     for (double& c : counts_) c *= decay_;
     total_ *= decay_;
   }
   for (const Request& r : window) {
-    DBS_CHECK_MSG(r.item < counts_.size(), "request for unknown item " << r.item);
     counts_[r.item] += 1.0;
     total_ += 1.0;
   }

@@ -21,33 +21,8 @@ namespace dbs {
 std::vector<double> estimate_frequencies(const std::vector<Request>& window,
                                          std::size_t items, double alpha = 1.0);
 
-/// Streaming estimator with exponential forgetting: each new window's counts
-/// are blended into the running estimate with weight `gain` (0 < gain ≤ 1).
-/// gain = 1 forgets everything between windows; small gains smooth heavily.
-class FrequencyTracker {
- public:
-  /// Starts from the uniform distribution over `items`.
-  explicit FrequencyTracker(std::size_t items, double gain = 0.3, double alpha = 1.0);
-
-  /// Folds one observed window into the estimate.
-  void observe(const std::vector<Request>& window);
-
-  /// Current normalized estimate (sums to 1, strictly positive everywhere
-  /// when alpha > 0).
-  const std::vector<double>& frequencies() const { return estimate_; }
-
-  std::size_t windows_observed() const { return windows_; }
-
- private:
-  double gain_;
-  double alpha_;
-  std::vector<double> estimate_;
-  std::size_t windows_ = 0;
-};
-
 /// Streaming estimator over decayed raw counts, the serve loop's estimator
-/// (DESIGN.md §12). Where FrequencyTracker blends normalized per-window
-/// estimates, this tracker keeps one decayed count per item,
+/// (DESIGN.md §12). It keeps one decayed count per item,
 ///     c_i ← ρ·c_i + (requests for i in the window),
 /// and normalizes with Laplace smoothing only when frequencies() is read:
 ///     f_i = (c_i + α) / (C + α·N),  C = Σ c_i.
@@ -65,6 +40,8 @@ class DecayedFrequencyTracker {
                                    double alpha = 1.0);
 
   /// \brief Decays the carried counts by `decay`, then folds the window in.
+  /// A window naming an unknown item throws ContractViolation before any
+  /// count changes, so a rejected window leaves the estimate as it was.
   void observe(const std::vector<Request>& window);
 
   /// \brief Current normalized estimate (sums to 1, strictly positive).

@@ -60,59 +60,6 @@ TEST(Estimate, RejectsBadInput) {
   EXPECT_THROW(estimate_frequencies({{0.0, 0}}, 3, -1.0), ContractViolation);
 }
 
-TEST(Tracker, StartsUniform) {
-  const FrequencyTracker tracker(4);
-  for (double f : tracker.frequencies()) EXPECT_DOUBLE_EQ(f, 0.25);
-  EXPECT_EQ(tracker.windows_observed(), 0u);
-}
-
-TEST(Tracker, FullGainForgetsThePast) {
-  FrequencyTracker tracker(2, /*gain=*/1.0, /*alpha=*/0.0);
-  tracker.observe({{0.0, 0}, {1.0, 0}});
-  EXPECT_DOUBLE_EQ(tracker.frequencies()[0], 1.0);
-  tracker.observe({{2.0, 1}, {3.0, 1}});
-  EXPECT_DOUBLE_EQ(tracker.frequencies()[0], 0.0);
-  EXPECT_DOUBLE_EQ(tracker.frequencies()[1], 1.0);
-}
-
-TEST(Tracker, SmallGainSmoothsDrift) {
-  FrequencyTracker tracker(2, /*gain=*/0.25, /*alpha=*/0.0);
-  tracker.observe({{0.0, 0}});  // all mass on item 0 this window
-  // estimate = 0.75 * uniform(0.5) + 0.25 * [1, 0].
-  EXPECT_NEAR(tracker.frequencies()[0], 0.625, 1e-12);
-  EXPECT_NEAR(tracker.frequencies()[1], 0.375, 1e-12);
-}
-
-TEST(Tracker, TracksDriftingPopularity) {
-  // Popularity flips between two items; the tracker must follow.
-  FrequencyTracker tracker(2, 0.5, 1.0);
-  for (int w = 0; w < 6; ++w) tracker.observe({{0.0, 0}, {1.0, 0}, {2.0, 0}});
-  EXPECT_GT(tracker.frequencies()[0], 0.7);
-  for (int w = 0; w < 6; ++w) tracker.observe({{0.0, 1}, {1.0, 1}, {2.0, 1}});
-  EXPECT_GT(tracker.frequencies()[1], 0.7);
-  EXPECT_EQ(tracker.windows_observed(), 12u);
-}
-
-TEST(Tracker, EstimateStaysNormalized) {
-  FrequencyTracker tracker(5, 0.4, 1.0);
-  Rng rng(3);
-  for (int w = 0; w < 10; ++w) {
-    std::vector<Request> window;
-    for (int i = 0; i < 20; ++i) {
-      window.push_back({static_cast<double>(i), static_cast<ItemId>(rng.below(5))});
-    }
-    tracker.observe(window);
-    const auto& f = tracker.frequencies();
-    EXPECT_NEAR(std::accumulate(f.begin(), f.end(), 0.0), 1.0, 1e-9);
-  }
-}
-
-TEST(Tracker, RejectsBadGain) {
-  EXPECT_THROW(FrequencyTracker(3, 0.0), ContractViolation);
-  EXPECT_THROW(FrequencyTracker(3, 1.5), ContractViolation);
-  EXPECT_THROW(FrequencyTracker(0, 0.5), ContractViolation);
-}
-
 std::vector<Request> random_window(std::size_t items, std::size_t count,
                                    std::uint64_t seed) {
   Rng rng(seed);
@@ -201,12 +148,30 @@ TEST(DecayedTracker, EffectiveWindowsFollowsGeometricSum) {
 
 TEST(DecayedTracker, FrequenciesStayNormalizedAndPositive) {
   DecayedFrequencyTracker tracker(5, 0.6, 0.5);
+  for (double v : tracker.frequencies()) EXPECT_DOUBLE_EQ(v, 0.2);  // uniform start
   for (int w = 0; w < 8; ++w) {
     tracker.observe(random_window(5, 40, 30 + static_cast<std::uint64_t>(w)));
     const auto f = tracker.frequencies();
     EXPECT_NEAR(std::accumulate(f.begin(), f.end(), 0.0), 1.0, 1e-9);
     for (double v : f) EXPECT_GT(v, 0.0);
   }
+}
+
+TEST(DecayedTracker, RejectedWindowLeavesTheEstimateUnchanged) {
+  // The bad window's valid prefix must not be folded in, nor the carried
+  // counts decayed: a rejected window is as if it never arrived.
+  DecayedFrequencyTracker tracker(3, 0.5, 1.0);
+  tracker.observe({{0.0, 0}, {1.0, 0}, {2.0, 1}});
+  const std::vector<double> counts = tracker.counts();
+  const std::vector<double> freqs = tracker.frequencies();
+  const double mass = tracker.effective_requests();
+  const double remembered = tracker.effective_windows();
+  EXPECT_THROW(tracker.observe({{3.0, 2}, {4.0, 1}, {5.0, 3}}), ContractViolation);
+  EXPECT_EQ(tracker.counts(), counts);
+  EXPECT_EQ(tracker.frequencies(), freqs);
+  EXPECT_EQ(tracker.effective_requests(), mass);
+  EXPECT_EQ(tracker.effective_windows(), remembered);
+  EXPECT_EQ(tracker.windows_observed(), 1u);
 }
 
 TEST(DecayedTracker, RejectsBadConfig) {

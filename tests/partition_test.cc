@@ -33,43 +33,12 @@ TEST(PrefixSums, DefaultConstructedIsEmpty) {
   EXPECT_DOUBLE_EQ(sums.cost_of(0, 0), 0.0);
 }
 
-TEST(PrefixSums, UpdateSuffixMatchesFullRebuild) {
-  const Database db = generate_database({.items = 50, .diversity = 2.5, .seed = 77});
-  std::vector<ItemId> order = db.benefit_order();
-  PrefixSums incremental(db, order);
-
-  // Permute only the tail, then repair from the first changed position: the
-  // incremental arrays must be element-for-element identical to a rebuild
-  // (same additions in the same order — not merely numerically close).
-  std::reverse(order.begin() + 20, order.end());
-  incremental.update_suffix(db, order, 20);
-  const PrefixSums rebuilt(db, order);
-  EXPECT_EQ(incremental.freq, rebuilt.freq);
-  EXPECT_EQ(incremental.size, rebuilt.size);
-}
-
-TEST(PrefixSums, UpdateSuffixGrowsAndShrinksWithTheOrder) {
-  const Database db = generate_database({.items = 30, .seed = 78});
-  const std::vector<ItemId>& order = db.benefit_order();
-  const std::span<const ItemId> all(order);
-
-  PrefixSums sums(db, all.first(10));
-  sums.update_suffix(db, all.first(30), 10);  // grow: recompute [10, 30)
-  const PrefixSums full(db, all.first(30));
-  EXPECT_EQ(sums.freq, full.freq);
-  EXPECT_EQ(sums.size, full.size);
-
-  sums.update_suffix(db, all.first(5), 5);  // shrink: pure truncation
-  const PrefixSums small(db, all.first(5));
-  EXPECT_EQ(sums.freq, small.freq);
-  EXPECT_EQ(sums.size, small.size);
-}
-
-TEST(PrefixSums, UpdateSuffixRejectsOutOfRangeArguments) {
-  const Database db = generate_database({.items = 10, .seed = 79});
-  const std::vector<ItemId>& order = db.benefit_order();
-  PrefixSums sums(db, order);
-  EXPECT_THROW(sums.update_suffix(db, order, order.size() + 1), ContractViolation);
+TEST(PrefixSums, RejectsOrdersTheDatabaseCannotHold) {
+  const Database db({1.0, 2.0}, {0.5, 0.5});
+  const std::vector<ItemId> too_long = {0, 1, 0};
+  const std::vector<ItemId> unknown = {0, 2};
+  EXPECT_THROW(PrefixSums(db, too_long), ContractViolation);
+  EXPECT_THROW(PrefixSums(db, unknown), ContractViolation);
 }
 
 TEST(DatabaseBenefitPrefix, MatchesAdHocConstruction) {
