@@ -1,7 +1,8 @@
 // perfsuite — the repo's performance trajectory recorder.
 //
 // Runs a pinned matrix of DRP / DRP-CDS / VF^K / GOPT configurations (the
-// paper's Table-5 midpoints plus an N=2000 scale point) and emits a
+// paper's Table-5 midpoints plus an N=2000 scale point), the multilevel
+// planner and the online service, and emits a
 // machine-readable BENCH_<sha>.json with the per-config median and IQR of
 // wall time and cost plus host metadata. tools/perf_compare.py diffs two
 // such files and gates CI on >15% median wall-time regressions and on any
@@ -17,11 +18,13 @@
 // in chrome://tracing or Perfetto. Both files are empty shells when the
 // build has DBS_OBS=OFF, since the no-op macros record nothing.
 //
-// --gate shrinks the run for CI: 3 trials and the heavy scale-point GOPT
-// config skipped (compare gate files against a full baseline with
-// perf_compare.py --subset). Trials always run serially, one at a time, so
-// wall times measure the algorithm, not scheduler contention; per-trial
-// seeds are fixed, so every cost in the file is reproducible bit-for-bit.
+// --gate shrinks the run for CI: the heavy configs are skipped (compare gate
+// files against a full baseline with perf_compare.py --subset), but every
+// light config keeps all its seeded trials, because the wall gate reads the
+// minimum wall/calibration ratio over them. Trials always run serially, one
+// at a time, so wall times measure the algorithm, not scheduler contention;
+// per-trial seeds are fixed, so every cost in the file is reproducible
+// bit-for-bit.
 //
 // Every trial is bracketed by a fixed floating-point calibration spin whose
 // wall time probes the host's effective speed at that instant (recorded as
@@ -103,6 +106,10 @@ const SuiteConfig kMatrix[] = {
     {"scale2000/vfk", Algorithm::kVfk, 2000, 10, kSkew, kPhi, kBandwidth, 7000, false},
     {"scale2000/gopt", Algorithm::kGopt, 2000, 10, kSkew, kPhi, kBandwidth, 7000,
      true},
+    // The multilevel V-cycle (core/multilevel.h) on the scale2000 workloads,
+    // run to convergence like scale2000/drp-cds.
+    {"scale2000/ml", Algorithm::kMultilevel, 2000, 10, kSkew, kPhi, kBandwidth,
+     7000, false},
     {"scale1e5/drp", Algorithm::kDrp, 100000, 64, kSkew, kPhi, kBandwidth, 9000,
      true},
     {"scale1e5/drp-cds", Algorithm::kDrpCds, 100000, 64, kSkew, kPhi, kBandwidth,
@@ -113,24 +120,24 @@ const SuiteConfig kMatrix[] = {
      9100, true, 64},
     // The online re-allocation service (DESIGN.md §12): a scripted 30-epoch
     // hot-set-rotation scenario through BroadcastServerLoop. wall_ms is the
-    // summed observe_window() wall over all epochs (estimate + repair + any
-    // escalated rebuilds), so wall/30 is the mean epoch latency; the extra
-    // "escalations" metric is the per-trial full-rebuild count (the
-    // escalation rate of the control loop — seeded, hence deterministic).
+    // summed observe_window() wall over all epochs (estimate + multilevel
+    // re-plan + relabel), so wall/30 is the mean epoch latency; the extra
+    // "churn" metric is the per-trial mean share of items an epoch moved
+    // (seeded, hence deterministic). The row keeps the algorithm label it
+    // was first recorded under, so older snapshots stay comparable.
     {"serve_drift/rotate30", Algorithm::kDrpCds, 120, 6, kSkew, kPhi, kBandwidth,
      11000, false, 0, true},
 };
 
 // One scripted serve_drift trial: 6 warm-up epochs of stable Zipf traffic,
-// 18 epochs with the popularity ranks rotating by 7 positions each (the
-// drift that forces repairs and occasional escalations), then 6 steady
-// epochs back. Everything derives from `seed`, so cost/wait/escalations are
+// 18 epochs with the popularity ranks rotating by 7 positions each, then 6
+// steady epochs back. Everything derives from `seed`, so cost/wait/churn are
 // reproducible bit-for-bit like every other row.
 struct ServeDriftSample {
   double wall_ms = 0.0;        // Σ observe_window wall across the 30 epochs
   double cost = 0.0;           // final on-air program cost
   double waiting_time = 0.0;   // final on-air W_b
-  double escalations = 0.0;    // epochs that ran the full DRP-CDS rebuild
+  double churn = 0.0;          // mean EpochReport::churn over the 30 epochs
 };
 
 ServeDriftSample run_serve_drift_trial(const SuiteConfig& config,
@@ -160,7 +167,7 @@ ServeDriftSample run_serve_drift_trial(const SuiteConfig& config,
     const dbs::Stopwatch watch;
     const dbs::EpochReport report = server.observe_window(window);
     sample.wall_ms += watch.millis();
-    sample.escalations += report.escalated ? 1.0 : 0.0;
+    sample.churn += report.churn / static_cast<double>(kEpochs);
   }
   const std::shared_ptr<const dbs::ProgramSnapshot> final = server.snapshot();
   sample.cost = final->cost;
@@ -276,7 +283,6 @@ int main(int argc, char** argv) {
       if (options.trials == 0) options.trials = 1;
     } else if (arg == "--gate") {
       gate = true;
-      options.trials = 3;
     } else if (arg == "--metrics-out" && i + 1 < argc) {
       metrics_out = argv[++i];
     } else if (arg == "--trace-out" && i + 1 < argc) {
@@ -299,7 +305,7 @@ int main(int argc, char** argv) {
   struct Row {
     const SuiteConfig* config;
     std::vector<double> wall, calib, cost, wait;
-    std::vector<double> escalations;  // serve_drift rows only
+    std::vector<double> churn;  // serve_drift rows only
   };
   std::vector<Row> rows;
   for (const SuiteConfig& config : kMatrix) {
@@ -327,7 +333,7 @@ int main(int argc, char** argv) {
         wall_ms = sample.wall_ms;
         cost = sample.cost;
         wait = sample.waiting_time;
-        row.escalations.push_back(sample.escalations);
+        row.churn.push_back(sample.churn);
       } else {
         const std::vector<Measurement> batch = dbs::bench::measure_trials(
             workload, config.algorithm, config.channels, config.bandwidth,
@@ -393,9 +399,9 @@ int main(int argc, char** argv) {
     json_metric(f, "cost", rows[i].cost);
     std::fputs(",\n", f);
     json_metric(f, "wait", rows[i].wait);
-    if (!rows[i].escalations.empty()) {
+    if (!rows[i].churn.empty()) {
       std::fputs(",\n", f);
-      json_metric(f, "escalations", rows[i].escalations);
+      json_metric(f, "churn", rows[i].churn);
     }
     std::fprintf(f, "\n    }%s\n", i + 1 < rows.size() ? "," : "");
   }

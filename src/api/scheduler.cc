@@ -10,6 +10,7 @@
 #include "baselines/vfk.h"
 #include "common/check.h"
 #include "common/stopwatch.h"
+#include "core/multilevel.h"
 #include "model/cost.h"
 
 namespace dbs {
@@ -23,6 +24,8 @@ const std::vector<AlgorithmInfo>& all_algorithms() {
       {Algorithm::kDrp, "drp", "dimension reduction partitioning", false},
       {Algorithm::kDrpCds, "drp-cds", "DRP refined by cost-diminishing selection",
        false},
+      {Algorithm::kMultilevel, "multilevel",
+       "DRP-CDS on benefit-order pairs, refined level by level", false},
       {Algorithm::kOrderedDp, "ordered-dp",
        "optimal contiguous partition of the br order", false},
       {Algorithm::kGopt, "gopt", "genetic near-global optimum", false},
@@ -80,6 +83,9 @@ ScheduleResult schedule(const Database& db, const ScheduleRequest& request) {
       break;
     case Algorithm::kDrpCds:
       alloc = run_drp_cds(db, request.channels, request.drp_cds).allocation;
+      break;
+    case Algorithm::kMultilevel:
+      alloc = run_multilevel(db, request.channels).allocation;
       break;
     case Algorithm::kOrderedDp:
       alloc = ordered_dp_optimal(db, request.channels);

@@ -25,6 +25,7 @@ enum class Algorithm {
   kVfk,           ///< conventional frequency-only VF^K (paper baseline)
   kDrp,           ///< paper's rough allocation
   kDrpCds,        ///< paper's full two-step scheme
+  kMultilevel,    ///< DRP-CDS as a multilevel V-cycle (core/multilevel.h)
   kOrderedDp,     ///< optimal contiguous partition of the br order
   kGopt,          ///< genetic near-global-optimum (paper baseline)
   kAnneal,        ///< simulated-annealing metaheuristic

@@ -39,11 +39,10 @@ struct RepairResult {
   CdsStats cds;
 };
 
-/// \brief The incremental-repair entry point (ROADMAP item 2): rebinds an
-/// existing assignment to `db` — typically the previous epoch's program on a
-/// freshly re-estimated database — and runs CDS moves from there instead of
-/// a full DRP rebuild. Same local-search guarantees as run_cds; the work is
-/// a handful of moves when the seed is already near a local optimum.
+/// \brief Binds an existing assignment to `db` and runs CDS moves from there
+/// instead of from DRP's split — the portfolio's KK-CDS racer refines its
+/// seed this way. Same local-search guarantees as run_cds; the work is a
+/// handful of moves when the seed is already near a local optimum.
 /// Requires assignment.size() == db.size() and every entry < channels.
 RepairResult repair_assignment(const Database& db, ChannelId channels,
                                std::vector<ChannelId> assignment,

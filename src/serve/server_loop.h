@@ -1,35 +1,33 @@
 // The operational broadcast-server loop of the paper's Figure 1, grown into
 // an online re-allocation service (DESIGN.md §12): the server streams the
-// access patterns of mobile users into a decayed-count estimate and keeps
-// the program on air near-optimal with *incremental* repair, escalating to
-// a full rebuild only when repair demonstrably stops being good enough.
+// access patterns of mobile users into a decayed-count estimate and
+// re-allocates its channels from that estimate every epoch.
 //
 // Each epoch:
 //   1. fold the observed request window into the DecayedFrequencyTracker
 //      (decayed raw counts, Laplace smoothing) and re-derive the database;
-//   2. repair the carried-over assignment with CDS moves from where it is
-//      (core/drp_cds.h repair_assignment) — the cheap steady-state path;
-//   3. compare the repaired cost against a decayed best-known reference
-//      cost; only when it is kEscalateThreshold or more above it, run the
-//      full DRP-CDS rebuild and adopt it if it beats the repair by
-//      kAdoptMargin — so steady-state epochs never pay for a rebuild;
-//   4. publish the chosen program as a fresh immutable versioned snapshot.
+//   2. re-plan it from scratch with the multilevel DRP-CDS V-cycle
+//      (core/multilevel.h), a single-move local optimum like DRP-CDS's;
+//   3. rename the plan's channels to overlap the program on air as much as
+//      possible (core/relabel.h): labels are arbitrary, and without this
+//      step every fresh plan would look like total churn;
+//   4. publish it as a fresh immutable versioned snapshot and report the
+//      churn, the share of items whose channel changed.
 //
-// Concurrency model (DESIGN.md §11): the estimator and control-loop state
-// are guarded by a single writer mutex (compiler-checked via the
-// DBS_GUARDED_BY contracts below), while the program on air is published as
-// an immutable, versioned ProgramSnapshot in a slot guarded by a dedicated
-// publish mutex that is only ever held for the O(1) shared_ptr copy/swap —
-// an RCU-style hand-off. Readers copy the snapshot pointer in that micro
-// critical section and keep the snapshot alive for as long as they hold the
-// shared_ptr; the epoch's actual work (estimation, repair, rebuild) runs
-// entirely outside the publish mutex, so a concurrent observe_window()
-// never blocks readers on computation and never mutates a snapshot they can
-// see. Snapshot versions are strictly monotone across publishes. (A
-// std::atomic<std::shared_ptr> would make the read truly lock-free, but
-// libstdc++'s _Sp_atomic spinlock predates its TSan annotations on the
-// oldest toolchain this repo supports, so the annotated Mutex slot is the
-// contract the sanitizers and -Wthread-safety can check.)
+// Concurrency model (DESIGN.md §11): the estimator and epoch counter are
+// guarded by a single writer mutex (compiler-checked via the DBS_GUARDED_BY
+// contracts below), while the program on air is published as an immutable,
+// versioned ProgramSnapshot in a slot guarded by a dedicated publish mutex
+// that is only ever held for the O(1) shared_ptr copy/swap — an RCU-style
+// hand-off. Readers copy the snapshot pointer in that micro critical section
+// and keep the snapshot alive for as long as they hold the shared_ptr; the
+// epoch's actual work (estimation, re-plan) runs entirely outside the publish
+// mutex, so a concurrent observe_window() never blocks readers on computation
+// and never mutates a snapshot they can see. Snapshot versions are strictly
+// monotone across publishes. (A std::atomic<std::shared_ptr> would make the
+// read truly lock-free, but libstdc++'s _Sp_atomic spinlock predates its TSan
+// annotations on the oldest toolchain this repo supports, so the annotated
+// Mutex slot is the contract the sanitizers and -Wthread-safety can check.)
 #pragma once
 
 #include <cstddef>
@@ -59,23 +57,11 @@ struct ServerLoopConfig {
 struct EpochReport {
   std::size_t epoch = 0;
   std::size_t requests = 0;
-  double repaired_cost = 0.0;   ///< after CDS repair of the carried program
-  std::size_t repair_moves = 0;
-  double waiting_time = 0.0;    ///< W_b of the program now on air
-
-  /// Control-loop state (DESIGN.md §12): the decayed best-known reference
-  /// cost the trigger compared against, and the repaired cost's relative
-  /// excess over it (repaired/reference − 1) *before* this epoch's outcome
-  /// was folded back into the reference.
-  double reference_cost = 0.0;
-  double cost_excess = 0.0;
-
-  /// Escalation outcome: `escalated` iff cost_excess ≥ kEscalateThreshold.
-  /// rebuilt_cost and rebuild_ms are meaningful only when `escalated` —
-  /// steady-state epochs never run the rebuild and report both as 0.
-  bool escalated = false;
-  double rebuilt_cost = 0.0;    ///< full DRP-CDS from scratch (escalated only)
-  bool adopted_rebuild = false;
+  std::size_t repair_moves = 0;  ///< the re-plan's level-0 CDS moves
+  double waiting_time = 0.0;     ///< W_b of the program now on air
+  /// Share of items whose channel differs from the previous program on air,
+  /// after the relabel.
+  double churn = 0.0;
 
   /// Estimator staleness: how many windows the decayed counts effectively
   /// remember (DecayedFrequencyTracker::effective_windows).
@@ -84,9 +70,14 @@ struct EpochReport {
   /// Version of the snapshot this epoch published (strictly monotone).
   std::size_t version = 0;
 
-  /// Wall time of the CDS repair step (Stopwatch, milliseconds).
+  /// Wall time of the re-plan and relabel (Stopwatch, milliseconds).
   double repair_ms = 0.0;
-  /// Wall time of the DRP-CDS rebuild (0 when the epoch did not escalate).
+
+  /// Always false, false and 0: the loop has no rebuild path any more. Kept
+  /// only because the e2ebench serve_drift workload still reads them; the
+  /// next change to e2ebench removes them.
+  bool escalated = false;
+  bool adopted_rebuild = false;
   double rebuild_ms = 0.0;
 };
 
@@ -115,39 +106,25 @@ struct ProgramSnapshot {
   const double waiting_time;     ///< W_b of alloc at the config bandwidth
 };
 
-/// Long-running server: owns the catalogue sizes, the popularity estimate,
-/// the repair/rebuild control loop and the published program versions.
-/// observe_window() is the single writer (safe to call from any one thread
-/// at a time; the mutex makes concurrent callers serialize rather than
-/// race); snapshot() is the one read path, safe from any thread.
+/// Long-running server: owns the catalogue sizes, the popularity estimate
+/// and the published program versions. observe_window() is the single
+/// writer (safe to call from any one thread at a time; the mutex makes
+/// concurrent callers serialize rather than race); snapshot() is the one
+/// read path, safe from any thread.
 class BroadcastServerLoop {
  public:
-  /// Escalate when the repaired cost is at least 5% above the reference:
-  /// the estimate's window-to-window noise under steady traffic stays
-  /// below that, while a real popularity shift crosses it within a few
-  /// epochs (both pinned by tests/drift_serve_test.cc).
-  static constexpr double kEscalateThreshold = 0.05;
-  /// Adopt a rebuild only if it is at least 1% cheaper than the repair:
-  /// two local optima closer than that are equally good, and switching
-  /// would move items between channels (clients re-tune) for nothing.
-  static constexpr double kAdoptMargin = 0.01;
-  /// When a non-escalated epoch's cost lands above the reference, the
-  /// reference moves toward it by this weight, so a slow genuine rise of
-  /// the achievable cost stops reading as regression after about 1/0.05 =
-  /// 20 epochs instead of escalating every epoch.
-  static constexpr double kReferenceDecay = 0.05;
   /// Laplace smoothing mass per item (the add-one rule): every item keeps
   /// a positive frequency, so it stays on air before anyone requests it,
   /// and one pseudo-request per item is small next to a window's traffic.
   static constexpr double kLaplaceAlpha = 1.0;
 
   /// Starts from a uniform popularity estimate over the given item sizes and
-  /// an initial DRP-CDS program (published as snapshot version 0).
+  /// an initial multilevel program (published as snapshot version 0).
   BroadcastServerLoop(std::vector<double> item_sizes, const ServerLoopConfig& config);
 
   /// Feeds one observed request window; returns what the server did. Takes
-  /// the writer mutex for the whole epoch and publishes the chosen program
-  /// as a fresh immutable snapshot before returning. A window naming an
+  /// the writer mutex for the whole epoch and publishes the re-planned
+  /// program as a fresh immutable snapshot before returning. A window naming an
   /// unknown item throws ContractViolation and leaves the loop unchanged.
   EpochReport observe_window(const std::vector<Request>& window)
       DBS_EXCLUDES(mutex_);
@@ -173,8 +150,8 @@ class BroadcastServerLoop {
       DBS_EXCLUDES(publish_mutex_);
 
   // Concurrency contract: config_ and sizes_ are immutable after
-  // construction; the estimator, epoch counter and reference cost belong to
-  // the writer and are guarded by mutex_; published_ is the RCU hand-off
+  // construction; the estimator and epoch counter belong to the writer and
+  // are guarded by mutex_; published_ is the RCU hand-off
   // slot readers copy from under publish_mutex_, which is never held across
   // any computation. Lock order: mutex_ before publish_mutex_; readers take
   // publish_mutex_ alone.
@@ -183,7 +160,6 @@ class BroadcastServerLoop {
   mutable Mutex mutex_;
   DecayedFrequencyTracker tracker_ DBS_GUARDED_BY(mutex_);
   std::size_t epoch_ DBS_GUARDED_BY(mutex_) = 0;
-  double reference_cost_ DBS_GUARDED_BY(mutex_) = 0.0;
   mutable Mutex publish_mutex_;
   std::shared_ptr<const ProgramSnapshot> published_ DBS_GUARDED_BY(publish_mutex_);
 };

@@ -19,9 +19,14 @@ std::string slurp(const std::string& path) {
   return os.str();
 }
 
+// ctest runs each case as its own process, possibly in parallel, so every
+// case writes a file named after itself: one case's TearDown must never
+// delete a file another case is still reading.
 class CsvTest : public ::testing::Test {
  protected:
-  std::string path_ = ::testing::TempDir() + "/dbs_csv_test.csv";
+  std::string path_ =
+      ::testing::TempDir() + "/dbs_csv_test_" +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name() + ".csv";
   void TearDown() override { std::remove(path_.c_str()); }
 };
 

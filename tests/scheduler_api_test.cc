@@ -43,8 +43,8 @@ TEST(Registry, EveryEnumeratorIsRegistered) {
   const Algorithm all[] = {
       Algorithm::kFlat,      Algorithm::kFlatBalanced, Algorithm::kGreedy,
       Algorithm::kVfk,       Algorithm::kDrp,          Algorithm::kDrpCds,
-      Algorithm::kOrderedDp, Algorithm::kGopt,         Algorithm::kAnneal,
-      Algorithm::kBruteForce, Algorithm::kPortfolio,
+      Algorithm::kMultilevel, Algorithm::kOrderedDp,   Algorithm::kGopt,
+      Algorithm::kAnneal,    Algorithm::kBruteForce,   Algorithm::kPortfolio,
   };
   EXPECT_EQ(all_algorithms().size(), std::size(all));
   for (Algorithm a : all) {

@@ -9,7 +9,11 @@ OLD and NEW are files written by `build/bench/perfsuite`. OLD may also be a
 directory (typically `bench/baselines/`): the file named by its `LATEST`
 pointer is used, and a missing pointer exits 77 so a ctest gate registered
 with SKIP_RETURN_CODE 77 reports "skipped" instead of failing on a branch
-that predates the first committed baseline.
+that predates the first committed baseline. A second pointer line
+`wall-baseline: BENCH_<x>.json` names an older snapshot whose wall times
+keep gating (host check and wall gate below) while the first file's costs
+gate: an intentional cost change re-anchors the costs without moving the
+speed floor to whatever host happened to record them.
 
 Checks, in order:
 
@@ -26,7 +30,9 @@ Checks, in order:
               an intentional algorithm change must regenerate the baseline
               (see docs/BENCHMARKING.md).
   time        Median wall time per config: NEW > OLD * (1 + --max-regression)
-              fails. Only runs when both files report the same host
+              fails, OLD being the wall baseline (the cost baseline unless
+              LATEST names another; configs it lacks are not gated). Only
+              runs when both files report the same host
               fingerprint (cpu_model + build_flavor) or --force-time is
               given — cross-host or sanitizer-build wall times are not
               comparable. Configs whose OLD median is below --min-ms are
@@ -87,20 +93,30 @@ def load_bench(path: Path) -> dict:
     return data
 
 
-def resolve_baseline(arg: Path) -> Path:
-    """A directory argument is resolved through its LATEST pointer file."""
+WALL_BASELINE_KEY = "wall-baseline:"
+
+
+def resolve_baseline(arg: Path) -> tuple[Path, Path | None]:
+    """A directory argument is resolved through its LATEST pointer file into
+    (cost baseline, wall baseline or None when it is the same file)."""
     if not arg.is_dir():
-        return arg
+        return arg, None
     pointer = arg / "LATEST"
     if not pointer.is_file():
         print(f"perf_compare: no {pointer} — no baseline to gate against; "
               "skipping", file=sys.stderr)
         sys.exit(77)
-    name = pointer.read_text(encoding="utf-8").strip()
-    baseline = arg / name
-    if not baseline.is_file():
-        raise Malformed(f"{pointer} names {name!r} but {baseline} is missing")
-    return baseline
+    lines = pointer.read_text(encoding="utf-8").split("\n")
+    names = [lines[0].strip()]
+    for line in filter(None, (l.strip() for l in lines[1:])):
+        if not line.startswith(WALL_BASELINE_KEY) or len(names) > 1:
+            raise Malformed(f"{pointer}: unexpected line {line!r}")
+        names.append(line[len(WALL_BASELINE_KEY):].strip())
+    paths = [arg / name for name in names]
+    for name, path in zip(names, paths):
+        if not path.is_file():
+            raise Malformed(f"{pointer} names {name!r} but {path} is missing")
+    return paths[0], paths[1] if len(paths) > 1 else None
 
 
 def host_fingerprint(data: dict) -> tuple:
@@ -143,14 +159,19 @@ def relative_delta(old: float, new: float) -> float:
 
 
 def compare(old: dict, new: dict, *, max_regression: float, min_ms: float,
-            subset: bool, force_time: bool, out=sys.stdout) -> int:
+            subset: bool, force_time: bool, wall: dict | None = None,
+            out=sys.stdout) -> int:
+    """Gates NEW's costs against OLD and its wall times against `wall`
+    (OLD itself when None)."""
     failures = 0
     new_by_name = {c["name"]: c for c in new["configs"]}
+    wall = old if wall is None else wall
+    wall_by_name = {c["name"]: c for c in wall["configs"]}
 
-    time_comparable = force_time or host_fingerprint(old) == host_fingerprint(new)
+    time_comparable = force_time or host_fingerprint(wall) == host_fingerprint(new)
     if not time_comparable:
         print(f"perf_compare: host fingerprints differ "
-              f"({host_fingerprint(old)} vs {host_fingerprint(new)}); "
+              f"({host_fingerprint(wall)} vs {host_fingerprint(new)}); "
               "wall-time gate skipped, cost gate still enforced", file=out)
 
     for old_config in old["configs"]:
@@ -195,7 +216,13 @@ def compare(old: dict, new: dict, *, max_regression: float, min_ms: float,
         if not config_ok:
             continue
 
-        old_median = float(old_config["wall_ms"]["median"])
+        wall_config = wall_by_name.get(name)
+        if wall_config is None or any(wall_config[k] != new_config[k]
+                                      for k in PARAM_KEYS):
+            print(f"  ok {name}: cost deterministic (no wall baseline for "
+                  "this config, wall not gated)", file=out)
+            continue
+        old_median = float(wall_config["wall_ms"]["median"])
         new_median = float(new_config["wall_ms"]["median"])
         if not time_comparable:
             print(f"  ok {name}: cost deterministic "
@@ -207,9 +234,9 @@ def compare(old: dict, new: dict, *, max_regression: float, min_ms: float,
                   f"({old_median:.3f} ms < {min_ms:.3f} ms, wall not gated)",
                   file=out)
             continue
-        shared_trials = min(len(old_config["wall_ms"]["per_trial"]),
+        shared_trials = min(len(wall_config["wall_ms"]["per_trial"]),
                             len(new_config["wall_ms"]["per_trial"]))
-        old_norm = normalized_wall_floor(old_config, shared_trials)
+        old_norm = normalized_wall_floor(wall_config, shared_trials)
         new_norm = normalized_wall_floor(new_config, shared_trials)
         if old_norm is not None and new_norm is not None:
             # Clock-normalized gate: the ratio of work to a fixed spin is
@@ -253,10 +280,11 @@ def selftest() -> int:
         return 2
 
     def run(old_name: str, new_name: str, expect: int, *, subset=False,
-            label: str) -> bool:
+            wall_name=None, label: str) -> bool:
         try:
             old = load_bench(cases_dir / old_name)
             new = load_bench(cases_dir / new_name)
+            wall = load_bench(cases_dir / wall_name) if wall_name else None
         except Malformed as err:
             got = 2
             detail = str(err)
@@ -264,7 +292,7 @@ def selftest() -> int:
             import io
             sink = io.StringIO()
             got = compare(old, new, max_regression=0.15, min_ms=1.0,
-                          subset=subset, force_time=False, out=sink)
+                          subset=subset, force_time=False, wall=wall, out=sink)
             detail = sink.getvalue().strip().splitlines()[-1]
         ok = got == expect
         print(f"selftest {'ok  ' if ok else 'FAIL'} {label}: "
@@ -288,6 +316,12 @@ def selftest() -> int:
             label="real regression under calibration (wall 2x, calib flat)"),
         run("calib_base.json", "pass.json", 0,
             label="one-sided calib falls back to raw wall medians"),
+        run("base.json", "regress.json", 0, wall_name="other_host.json",
+            label="foreign wall baseline (time gate auto-skips)"),
+        run("base.json", "cost_drift.json", 1, wall_name="other_host.json",
+            label="cost drift with a separate wall baseline"),
+        run("other_host.json", "regress.json", 1, wall_name="base.json",
+            label="wall baseline gates wall time, not the cost baseline"),
     ]
     if all(checks):
         print("selftest: all golden cases behave")
@@ -323,14 +357,16 @@ def main(argv=None) -> int:
     if args.old is None or args.new is None:
         parser.error("OLD and NEW are required unless --selftest is given")
     try:
-        old = load_bench(resolve_baseline(args.old))
+        old_path, wall_path = resolve_baseline(args.old)
+        old = load_bench(old_path)
+        wall = load_bench(wall_path) if wall_path else None
         new = load_bench(args.new)
     except Malformed as err:
         print(f"perf_compare: {err}", file=sys.stderr)
         return 2
     return compare(old, new, max_regression=args.max_regression,
                    min_ms=args.min_ms, subset=args.subset,
-                   force_time=args.force_time)
+                   force_time=args.force_time, wall=wall)
 
 
 if __name__ == "__main__":
