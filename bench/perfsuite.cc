@@ -113,7 +113,7 @@ const SuiteConfig kMatrix[] = {
     {"scale1e5/drp", Algorithm::kDrp, 100000, 64, kSkew, kPhi, kBandwidth, 9000,
      true},
     {"scale1e5/drp-cds", Algorithm::kDrpCds, 100000, 64, kSkew, kPhi, kBandwidth,
-     9000, true, 64},
+     9000, false, 64},
     {"scale1e6/drp", Algorithm::kDrp, 1000000, 512, kSkew, kPhi, kBandwidth, 9100,
      true},
     {"scale1e6/drp-cds", Algorithm::kDrpCds, 1000000, 512, kSkew, kPhi, kBandwidth,

@@ -1,7 +1,6 @@
 #include "baselines/ordered_dp.h"
 
 #include <limits>
-#include <optional>
 #include <utility>
 
 #include "common/check.h"
@@ -16,10 +15,7 @@ Allocation ordered_dp_optimal(const Database& db, ChannelId channels,
   DBS_CHECK_MSG(channels <= n, "cannot fill more channels than items");
 
   const std::vector<ItemId> order = ordered_ids(db, ordering);
-  std::optional<PrefixSums> local_sums;
-  if (ordering != ItemOrdering::kBenefitRatioDesc) local_sums.emplace(db, order);
-  const PrefixSums& sums =
-      local_sums.has_value() ? *local_sums : db.benefit_prefix();
+  const PrefixSums sums = ordered_prefix(db, ordering, order);
   constexpr double kInf = std::numeric_limits<double>::infinity();
   std::vector<std::vector<double>> dp(channels + 1, std::vector<double>(n + 1, kInf));
   std::vector<std::vector<std::size_t>> cut(channels + 1,

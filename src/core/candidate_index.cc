@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <numeric>
+#include <ranges>
 #include <utility>
 
 #include "common/check.h"
@@ -12,7 +13,23 @@ namespace dbs {
 namespace {
 
 constexpr double kNegInf = -std::numeric_limits<double>::infinity();
-constexpr ItemId kNil = std::numeric_limits<ItemId>::max();
+constexpr std::uint32_t kNil = std::numeric_limits<std::uint32_t>::max();
+
+// Ranks per block of the gain column. Selection scans N / kBlockRanks block
+// maxima and rescans only the blocks a fold wrote to, kBlockRanks gains each.
+constexpr std::size_t kBlockRanks = 256;
+
+/// The largest of g[0, len), len ≥ 1. Four independent running maxima keep
+/// the loop free of data-dependent branches, so it runs at load bandwidth.
+double max_of(const double* g, std::size_t len) {
+  double lane[4] = {g[0], g[0], g[0], g[0]};
+  std::size_t i = 0;
+  for (; i + 4 <= len; i += 4) {
+    for (std::size_t l = 0; l < 4; ++l) lane[l] = std::max(lane[l], g[i + l]);
+  }
+  for (; i < len; ++i) lane[0] = std::max(lane[0], g[i]);
+  return std::max({lane[0], lane[1], lane[2], lane[3]});
+}
 
 }  // namespace
 
@@ -32,16 +49,19 @@ ChannelId CandidateIndex::PieceMap::target_at(std::size_t pos) const {
 CandidateIndex::CandidateIndex(Allocation& alloc)
     : alloc_(alloc),
       order_(alloc.database().benefit_order()),
-      item_freq_(alloc.database().freqs()),
-      item_size_(alloc.database().sizes()),
+      item_freq_(alloc.database().benefit_freqs()),
+      item_size_(alloc.database().benefit_sizes()),
       chan_freq_(alloc.channel_freqs()),
       chan_size_(alloc.channel_sizes()),
       gain_(alloc.items()),
+      home_(alloc.items()),
       rank_(alloc.items()),
       head_(alloc.channels(), kNil),
       next_(alloc.items()),
       prev_(alloc.items()),
-      by_zf_(alloc.channels()) {
+      block_max_((alloc.items() + kBlockRanks - 1) / kBlockRanks),
+      by_zf_(alloc.channels()),
+      dirty_(block_max_.size(), 0) {
   DBS_CHECK_MSG(alloc_.channels() >= 2,
                 "the candidate index needs at least two channels");
   const std::size_t k = alloc_.channels();
@@ -52,36 +72,38 @@ CandidateIndex::CandidateIndex(Allocation& alloc)
     map->start.reserve(k + 1);
     map->chan.reserve(k);
   }
-  for (std::size_t pos = 0; pos < n; ++pos) {
-    rank_[order_[pos]] = static_cast<std::uint32_t>(pos);
+  dirty_blocks_.reserve(block_max_.size());
+  const std::vector<ChannelId>& assignment = alloc_.assignment();
+  for (std::uint32_t r = 0; r < n; ++r) {
+    rank_[order_[r]] = r;
+    home_[r] = assignment[order_[r]];
+    link(r, home_[r]);
   }
-  const std::vector<ChannelId>& home = alloc_.assignment();
-  for (ItemId y = 0; y < n; ++y) link(y, home[y]);
 
   build_hull();
   build_pieces(pieces_);
   for (std::size_t i = 0; i < pieces_.chan.size(); ++i) {
-    for (std::size_t pos = pieces_.start[i]; pos < pieces_.start[i + 1]; ++pos) {
-      const ItemId y = order_[pos];
-      refresh_gain(y, home[y], pieces_.chan[i]);
+    for (std::size_t r = pieces_.start[i]; r < pieces_.start[i + 1]; ++r) {
+      refresh_gain(r, home_[r], pieces_.chan[i]);
     }
   }
+  for (std::size_t b = 0; b < block_max_.size(); ++b) mark_dirty(b);
 }
 
-void CandidateIndex::link(ItemId y, ChannelId c) {
-  prev_[y] = kNil;
-  next_[y] = head_[c];
-  if (head_[c] != kNil) prev_[head_[c]] = y;
-  head_[c] = y;
+void CandidateIndex::link(std::uint32_t rank, ChannelId c) {
+  prev_[rank] = kNil;
+  next_[rank] = head_[c];
+  if (head_[c] != kNil) prev_[head_[c]] = rank;
+  head_[c] = rank;
 }
 
-void CandidateIndex::unlink(ItemId y, ChannelId c) {
-  if (prev_[y] != kNil) {
-    next_[prev_[y]] = next_[y];
+void CandidateIndex::unlink(std::uint32_t rank, ChannelId c) {
+  if (prev_[rank] != kNil) {
+    next_[prev_[rank]] = next_[rank];
   } else {
-    head_[c] = next_[y];
+    head_[c] = next_[rank];
   }
-  if (next_[y] != kNil) prev_[next_[y]] = prev_[y];
+  if (next_[rank] != kNil) prev_[next_[rank]] = prev_[rank];
 }
 
 void CandidateIndex::build_hull() {
@@ -119,8 +141,8 @@ std::size_t CandidateIndex::first_beaten(ChannelId a, ChannelId b,
                                          std::size_t from) const {
   // Along the benefit order f/z falls, so the load difference
   // s_b − s_a = z·((f/z)·ΔZ + ΔF) of a hull edge (ΔZ > 0) changes sign at
-  // most once: "b beats a" is a monotone predicate over positions, and its
-  // first true position is a binary search away. Loads are compared as
+  // most once: "b beats a" is a monotone predicate over ranks, and its
+  // first true rank is a binary search away. Loads are compared as
   // f·Z + z·F: an algebraically equal form rounds differently near a
   // threshold and would move the seeded trajectories.
   const double za = chan_size_[a];
@@ -128,15 +150,15 @@ std::size_t CandidateIndex::first_beaten(ChannelId a, ChannelId b,
   const double zb = chan_size_[b];
   const double fb = chan_freq_[b];
   const bool b_wins_ties = b < a;
-  const auto first = std::partition_point(
-      order_.begin() + static_cast<std::ptrdiff_t>(from), order_.end(), [&](ItemId y) {
-        const double f = item_freq_[y];
-        const double z = item_size_[y];
-        const double sa = f * za + z * fa;
-        const double sb = f * zb + z * fb;
-        return !(sb < sa || (b_wins_ties && sb == sa));
-      });
-  return static_cast<std::size_t>(first - order_.begin());
+  const auto ranks = std::views::iota(from, alloc_.items());
+  const auto first = std::ranges::partition_point(ranks, [&](std::size_t r) {
+    const double f = item_freq_[r];
+    const double z = item_size_[r];
+    const double sa = f * za + z * fa;
+    const double sb = f * zb + z * fb;
+    return !(sb < sa || (b_wins_ties && sb == sa));
+  });
+  return from + static_cast<std::size_t>(first - ranks.begin());
 }
 
 void CandidateIndex::build_pieces(PieceMap& out) const {
@@ -159,9 +181,9 @@ void CandidateIndex::build_pieces(PieceMap& out) const {
   out.start.push_back(n);
 }
 
-void CandidateIndex::refresh_gain(ItemId y, ChannelId home, ChannelId to) {
-  const double f = item_freq_[y];
-  const double z = item_size_[y];
+void CandidateIndex::refresh_gain(std::size_t rank, ChannelId home, ChannelId to) {
+  const double f = item_freq_[rank];
+  const double z = item_size_[rank];
   // Same expression in the same order as Allocation::move_gain (Eq. 4), so
   // the cached gain is bit-identical to what best_move(alloc) computes. It
   // is computed even when the target is home (measured faster than an early
@@ -171,14 +193,20 @@ void CandidateIndex::refresh_gain(ItemId y, ChannelId home, ChannelId to) {
   const double gain = f * (chan_size_[home] - chan_size_[to]) +
                       z * (chan_freq_[home] - chan_freq_[to]) - 2.0 * f * z;
   const bool at_home = to == home;
-  gain_[y] = at_home ? kNegInf : gain;
+  gain_[rank] = at_home ? kNegInf : gain;
   moves_evaluated_ += at_home ? 0 : 1;
+}
+
+void CandidateIndex::mark_dirty(std::size_t block) {
+  if (dirty_[block] == 0) {
+    dirty_[block] = 1;
+    dirty_blocks_.push_back(static_cast<std::uint32_t>(block));
+  }
 }
 
 void CandidateIndex::fold() {
   const ChannelId p = touched_p_;
   const ChannelId q = touched_q_;
-  const std::vector<ChannelId>& home = alloc_.assignment();
   build_hull();
   std::swap(pieces_, old_pieces_);
   build_pieces(pieces_);
@@ -186,8 +214,8 @@ void CandidateIndex::fold() {
   // Walk the segments on which neither map changes piece. A gain depends on
   // the item's home and target aggregates only, so it is stale exactly when
   // the target changed, the target is p or q, or the home is p or q. The
-  // first two are whole segments; items on p or q follow from their lists
-  // (skipped here, so each gain is computed once).
+  // first two are whole rank ranges; items on p or q follow from their
+  // lists (skipped here, so each gain is computed once).
   const std::size_t n = alloc_.items();
   std::size_t i = 0;
   std::size_t j = 0;
@@ -196,9 +224,12 @@ void CandidateIndex::fold() {
     const ChannelId to = pieces_.chan[j];
     if (old_pieces_.chan[i] != to || to == p || to == q) {
       repairs_ += end - pos;
-      for (; pos < end; ++pos) {
-        const ItemId y = order_[pos];
-        if (home[y] != p && home[y] != q) refresh_gain(y, home[y], to);
+      for (std::size_t b = pos / kBlockRanks; b <= (end - 1) / kBlockRanks; ++b) {
+        mark_dirty(b);
+      }
+      for (std::size_t r = pos; r < end; ++r) {
+        const ChannelId home = home_[r];
+        if (home != p && home != q) refresh_gain(r, home, to);
       }
     }
     pos = end;
@@ -206,8 +237,9 @@ void CandidateIndex::fold() {
     j += pieces_.start[j + 1] == end;
   }
   for (const ChannelId c : {p, q}) {
-    for (ItemId y = head_[c]; y != kNil; y = next_[y]) {
-      refresh_gain(y, c, pieces_.target_at(rank_[y]));
+    for (std::uint32_t r = head_[c]; r != kNil; r = next_[r]) {
+      refresh_gain(r, c, pieces_.target_at(r));
+      mark_dirty(r / kBlockRanks);
     }
     if (p == q) break;
   }
@@ -218,31 +250,37 @@ CdsMove CandidateIndex::best_move() {
     fold();
     pending_ = false;
   }
-  // Selection is a pure argmax over the gain column, in two passes: four
-  // independent running maxima (no data-dependent branch, so the pass runs
-  // at load bandwidth), then the first item holding that maximum — the
-  // smallest item id, the tie-break best_move(alloc)'s ascending-id
-  // strict-> loop induces.
   const std::size_t n = alloc_.items();
-  const double* g = gain_.data();
-  double lane[4] = {g[0], g[0], g[0], g[0]};
-  std::size_t y = 0;
-  for (; y + 4 <= n; y += 4) {
-    for (std::size_t l = 0; l < 4; ++l) lane[l] = std::max(lane[l], g[y + l]);
+  for (const std::uint32_t b : dirty_blocks_) {
+    const std::size_t first = b * kBlockRanks;
+    block_max_[b] = max_of(gain_.data() + first, std::min(kBlockRanks, n - first));
+    dirty_[b] = 0;
   }
-  for (; y < n; ++y) lane[0] = std::max(lane[0], g[y]);
-  const double top = std::max({lane[0], lane[1], lane[2], lane[3]});
-  const ItemId best = static_cast<ItemId>(std::find(g, g + n, top) - g);
-  return CdsMove{best, alloc_.assignment()[best], pieces_.target_at(rank_[best]),
-                 g[best]};
+  dirty_blocks_.clear();
+  // Ties resolve to the smallest item id, the order best_move(alloc)'s
+  // ascending-id strict-> loop induces. Rank order is not id order, so
+  // every block whose maximum is the top gain is searched for its smallest
+  // id.
+  const double top = max_of(block_max_.data(), block_max_.size());
+  std::size_t best = n;
+  for (std::size_t b = 0; b < block_max_.size(); ++b) {
+    if (block_max_[b] != top) continue;
+    const std::size_t end = std::min(n, (b + 1) * kBlockRanks);
+    for (std::size_t r = b * kBlockRanks; r < end; ++r) {
+      if (gain_[r] == top && (best == n || order_[r] < order_[best])) best = r;
+    }
+  }
+  return CdsMove{order_[best], home_[best], pieces_.target_at(best), top};
 }
 
 void CandidateIndex::apply(const CdsMove& move) {
   DBS_CHECK_MSG(!pending_, "apply() calls must be interleaved with best_move()");
   const ChannelId from = alloc_.channel_of(move.item);
   alloc_.move(move.item, move.to);
-  unlink(move.item, from);
-  link(move.item, move.to);
+  const std::uint32_t rank = rank_[move.item];
+  unlink(rank, from);
+  link(rank, move.to);
+  home_[rank] = move.to;
   touched_p_ = from;
   touched_q_ = move.to;
   pending_ = true;

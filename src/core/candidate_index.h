@@ -12,21 +12,24 @@
 // argmin walks the lower hull of the channel points (Z_q, F_q) from left to
 // right: the target is piecewise constant, one piece per hull vertex. The
 // index keeps that piece map (O(K) entries, never a per-item target) and,
-// indexed by ItemId:
+// indexed by rank (an item's position in the benefit order):
 //   * gain: Δc of the item's move to its piece's channel, computed with
 //     Allocation::move_gain's exact Eq. 4 arithmetic, or −∞ when that
 //     channel is the item's home;
-//   * rank: the item's benefit-order position, which locates its piece;
-//   * next/prev: per-channel member lists.
+//   * home: the item's channel, kept in step with the allocation by apply();
+//   * next/prev: per-channel member lists;
+// plus the rank of each ItemId, and one gain maximum per block of ranks. f
+// and z come from the Database's rank-major columns.
 //
 // After a move p→q the fold rebuilds the hull, finds each piece's start with
 // one binary search per hull edge, and merges the old and new piece maps: a
-// gain is recomputed only where the piece channel changed or is p or q, and
-// for the items living on p or q (walked through per-channel member lists).
-// Every other gain is still exact, so the fold does no O(N) pass; selection
-// is a pure argmax over the gain column. All scratch is sized at
-// construction, so a fold allocates nothing. See docs/ARCHITECTURE.md §5
-// for the exactness argument.
+// gain is recomputed only where the piece channel changed or is p or q (whole
+// rank ranges, streamed), and for the items living on p or q (walked through
+// the member lists). Every other gain is still exact, so the fold does no
+// O(N) pass. Selection refreshes the maxima of the blocks the fold touched,
+// then scans the block maxima. All scratch is sized at construction, so a
+// fold allocates nothing. See docs/ARCHITECTURE.md §5 for the exactness
+// argument.
 #pragma once
 
 #include <cstddef>
@@ -46,14 +49,19 @@ namespace dbs {
 /// Allocation::move() silently invalidates the cached gains.
 class CandidateIndex {
  public:
-  /// \brief Builds the piece map and the gain column for the current
-  /// allocation (O(N + K log N + K log K)). Requires at least two channels.
+  /// \brief Builds the piece map, the gain column and the block maxima for
+  /// the current allocation (O(N + K log N + K log K)). Requires at least
+  /// two channels.
   explicit CandidateIndex(Allocation& alloc);
 
-  /// \brief Folds any pending move into the index and returns the best
-  /// single-item move (gain may be ≤ 0 at a local optimum). Ties resolve
-  /// like the brute-force best_move(alloc): smallest item id, and per item
-  /// the smallest-load (then smallest-id) target.
+  /// \brief Folds any pending move into the index and returns the move the
+  /// brute-force best_move(alloc) returns whenever that move improves
+  /// (gain > 0): same item, same target, bit-identical gain, with ties
+  /// resolved to the smallest item id and per item to the smallest-load
+  /// (then smallest-id) target. At a local optimum it returns some move with
+  /// gain ≤ 0 (possibly −∞), not necessarily the scan's: an item whose
+  /// min-load channel is its home caches −∞, since none of its moves
+  /// improves.
   CdsMove best_move();
 
   /// \brief Applies `move` to the allocation and records its two touched
@@ -65,20 +73,20 @@ class CandidateIndex {
   /// Mirrors CdsStats::moves_evaluated.
   std::size_t moves_evaluated() const { return moves_evaluated_; }
 
-  /// \brief Benefit-order positions whose target a fold re-derived (the
-  /// positions whose piece channel changed or is a touched channel).
+  /// \brief Ranks whose target a fold re-derived (the ranks whose piece
+  /// channel changed or is a touched channel).
   /// Mirrors CdsStats::index_repairs.
   std::size_t repairs() const { return repairs_; }
 
  private:
-  /// The min-load target as a function of benefit-order position: piece i
-  /// covers positions [start[i], start[i + 1]) and targets channel chan[i].
-  /// Pieces are non-empty, and start.back() is the item count.
+  /// The min-load target as a function of rank: piece i covers ranks
+  /// [start[i], start[i + 1]) and targets channel chan[i]. Pieces are
+  /// non-empty, and start.back() is the item count.
   struct PieceMap {
     std::vector<std::size_t> start;
     std::vector<ChannelId> chan;
 
-    /// \brief The channel whose piece holds position `pos`.
+    /// \brief The channel whose piece holds rank `pos`.
     ChannelId target_at(std::size_t pos) const;
   };
 
@@ -88,41 +96,48 @@ class CandidateIndex {
   /// \brief Derives the piece map of hull_ into `out`.
   void build_pieces(PieceMap& out) const;
 
-  /// \brief First position in [from, N) at which channel `b` beats `a` as a
+  /// \brief First rank in [from, N) at which channel `b` beats `a` as a
   /// target: lower load, or equal load and a smaller id.
   std::size_t first_beaten(ChannelId a, ChannelId b, std::size_t from) const;
 
-  /// \brief Recomputes item y's gain for the move home → to.
-  void refresh_gain(ItemId y, ChannelId home, ChannelId to);
+  /// \brief Recomputes the gain at `rank` for the move home → to.
+  void refresh_gain(std::size_t rank, ChannelId home, ChannelId to);
+
+  /// \brief Queues block `block` for a fresh maximum at the next selection.
+  void mark_dirty(std::size_t block);
 
   /// \brief Folds the pending move p→q into the piece map and the gains.
   void fold();
 
-  /// \brief Pushes item y onto channel c's member list.
-  void link(ItemId y, ChannelId c);
+  /// \brief Pushes `rank` onto channel c's member list.
+  void link(std::uint32_t rank, ChannelId c);
 
-  /// \brief Removes item y from channel c's member list.
-  void unlink(ItemId y, ChannelId c);
+  /// \brief Removes `rank` from channel c's member list.
+  void unlink(std::uint32_t rank, ChannelId c);
 
   Allocation& alloc_;
-  std::span<const ItemId> order_;      // Database::benefit_order()
-  std::span<const double> item_freq_;
-  std::span<const double> item_size_;
+  std::span<const ItemId> order_;      // Database::benefit_order(): rank → id
+  std::span<const double> item_freq_;  // Database::benefit_freqs(): f by rank
+  std::span<const double> item_size_;  // Database::benefit_sizes(): z by rank
   std::span<const double> chan_freq_;  // Allocation's F column (stable storage)
   std::span<const double> chan_size_;  // Allocation's Z column (stable storage)
 
-  std::vector<double> gain_;         // Δc of the move to the piece channel, or −∞
-  std::vector<std::uint32_t> rank_;  // each item's position in order_
-  std::vector<ItemId> head_;         // first member of each channel
-  std::vector<ItemId> next_;         // per-channel member lists, by ItemId
-  std::vector<ItemId> prev_;
+  std::vector<double> gain_;         // by rank: Δc of the move to the piece, or −∞
+  std::vector<ChannelId> home_;      // by rank
+  std::vector<std::uint32_t> rank_;  // by ItemId
+  std::vector<std::uint32_t> head_;  // first member rank of each channel
+  std::vector<std::uint32_t> next_;  // per-channel member lists, by rank
+  std::vector<std::uint32_t> prev_;
+  std::vector<double> block_max_;    // max gain of each block of ranks
 
   PieceMap pieces_;
   PieceMap old_pieces_;  // fold scratch: the map before the pending move
 
   // Fold scratch, sized at construction so that a fold allocates nothing.
-  std::vector<ChannelId> by_zf_;  // channel ids sorted by (Z, F, id)
-  std::vector<ChannelId> hull_;   // lower-hull vertices by ascending Z
+  std::vector<ChannelId> by_zf_;        // channel ids sorted by (Z, F, id)
+  std::vector<ChannelId> hull_;         // lower-hull vertices by ascending Z
+  std::vector<std::uint8_t> dirty_;     // by block: queued in dirty_blocks_
+  std::vector<std::uint32_t> dirty_blocks_;  // blocks whose max is stale
 
   bool pending_ = false;
   ChannelId touched_p_ = 0;

@@ -32,9 +32,12 @@ CdsStats run_cds(Allocation& alloc, const CdsOptions& options) {
   // With one channel there is no move to make: trivially a local optimum.
   if (alloc.channels() > 1) {
     // Each iteration folds the previous move into the index (only the gains
-    // its two channels made stale), then selects the best move with one
-    // O(N) argmax.
-    CandidateIndex index(alloc);
+    // its two channels made stale), then selects the best move from the
+    // block maxima.
+    CandidateIndex index = [&] {
+      DBS_OBS_SPAN("core.cds.index_build");
+      return CandidateIndex(alloc);
+    }();
     while (true) {
       if (stats.iterations >= options.max_iterations) {
         // Budget exhausted: one more index pass tells whether the run

@@ -12,8 +12,8 @@
 // target load, so each item's best target is its minimum-load channel. That
 // channel depends only on the item's benefit ratio, so the index keeps it as
 // a piece map over the benefit order, refreshes only the gains a move made
-// stale, and selects with one O(N) argmax per iteration instead of an
-// O(N·K) rescan. best_move(alloc) below is the
+// stale, and selects from per-block gain maxima instead of an O(N·K)
+// rescan. best_move(alloc) below is the
 // exhaustive O(N·K) reference the index is tested against: both evaluate
 // Eq. 4 with the same arithmetic and tie-break order (ARCHITECTURE.md §5).
 #pragma once

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <numeric>
-#include <optional>
 #include <queue>
 
 #include "common/check.h"
@@ -31,6 +30,16 @@ std::vector<ItemId> ordered_ids(const Database& db, ItemOrdering ordering) {
   return {};
 }
 
+PrefixSums ordered_prefix(const Database& db, ItemOrdering ordering,
+                          std::span<const ItemId> order) {
+  DBS_CHECK_MSG(order.size() == db.size(),
+                "order lists " << order.size() << " of " << db.size() << " items");
+  if (ordering == ItemOrdering::kBenefitRatioDesc) {
+    return PrefixSums(db.benefit_freqs(), db.benefit_sizes());
+  }
+  return PrefixSums(db, order);
+}
+
 namespace {
 
 /// Priority of a group under the configured selection rule.
@@ -57,16 +66,8 @@ DrpResult run_drp(const Database& db, ChannelId channels, const DrpOptions& opti
   DBS_CHECK_MSG(channels <= n,
                 "cannot fill " << channels << " channels with only " << n << " items");
 
-  // The benefit-ratio ordering — DRP proper — reuses the sort and prefix
-  // sums the Database cached at construction; only the ablation orderings
-  // pay for a fresh sort and prefix build.
   std::vector<ItemId> order = ordered_ids(db, options.ordering);
-  std::optional<PrefixSums> local_sums;
-  if (options.ordering != ItemOrdering::kBenefitRatioDesc) {
-    local_sums.emplace(db, order);
-  }
-  const PrefixSums& sums =
-      local_sums.has_value() ? *local_sums : db.benefit_prefix();
+  const PrefixSums sums = ordered_prefix(db, options.ordering, order);
 
   struct QueueEntry {
     double key;

@@ -7,10 +7,12 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "model/allocation.h"
 #include "model/database.h"
+#include "model/prefix_sums.h"
 
 namespace dbs {
 
@@ -34,6 +36,13 @@ enum class ItemOrdering {
 /// kBenefitRatioDesc copies the Database's cached benefit_order(); the
 /// ablation orderings sort afresh.
 std::vector<ItemId> ordered_ids(const Database& db, ItemOrdering ordering);
+
+/// \brief PrefixSums over `order`, which must be ordered_ids(db, ordering).
+/// kBenefitRatioDesc streams the Database's rank-major columns; the
+/// ablation orderings gather f and z by id. Both give the same sums bit for
+/// bit.
+PrefixSums ordered_prefix(const Database& db, ItemOrdering ordering,
+                          std::span<const ItemId> order);
 
 /// DRP tuning knobs; defaults reproduce the paper exactly.
 struct DrpOptions {

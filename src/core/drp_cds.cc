@@ -5,8 +5,9 @@ namespace dbs {
 DrpCdsResult run_drp_cds(const Database& db, ChannelId channels,
                          const DrpCdsOptions& options) {
   // dbs-lint: contract delegated to run_drp (validates channels and catalogue)
-  DrpResult drp = run_drp(db, channels, options.drp);
-  DrpCdsResult result{std::move(drp.allocation), 0.0, 0.0, {}};
+  // DRP's order copy and groups die with the temporary, before CDS builds
+  // its index.
+  DrpCdsResult result{run_drp(db, channels, options.drp).allocation, 0.0, 0.0, {}};
   result.drp_cost = result.allocation.cost();
   result.cds = run_cds(result.allocation, options.cds);
   result.final_cost = result.allocation.cost();

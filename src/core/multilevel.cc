@@ -21,17 +21,16 @@ struct CoarseLevel {
 
 CoarseLevel coarsen(const Database& fine) {
   const std::vector<ItemId>& order = fine.benefit_order();
-  const std::span<const double> f = fine.freqs();
-  const std::span<const double> z = fine.sizes();
+  const std::span<const double> f = fine.benefit_freqs();
+  const std::span<const double> z = fine.benefit_sizes();
   const std::size_t pairs = (order.size() + 1) / 2;
   std::vector<double> freqs(pairs, 0.0);
   std::vector<double> sizes(pairs, 0.0);
   std::vector<ItemId> parent(order.size());
   for (std::size_t i = 0; i < order.size(); ++i) {
-    const ItemId x = order[i];
-    freqs[i / 2] += f[x];
-    sizes[i / 2] += z[x];
-    parent[x] = static_cast<ItemId>(i / 2);
+    freqs[i / 2] += f[i];
+    sizes[i / 2] += z[i];
+    parent[order[i]] = static_cast<ItemId>(i / 2);
   }
   return {Database(sizes, freqs), std::move(parent)};
 }

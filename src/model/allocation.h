@@ -22,9 +22,8 @@ namespace dbs {
 ///
 /// Like the Database, the aggregates are stored columnar: channel_freqs()
 /// and channel_sizes() expose F and Z as contiguous spans so CDS's move
-/// search streams over them (docs/ARCHITECTURE.md §3). Allocation is the
-/// only place per-channel views are derived from the assignment column:
-/// members() lists every channel's items in one pass.
+/// search streams over them (docs/ARCHITECTURE.md §3). members() derives
+/// every channel's id list from the assignment column in one pass.
 ///
 /// The referenced Database must outlive the Allocation.
 class Allocation {

@@ -1,13 +1,88 @@
 #include "model/database.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <numeric>
 #include <utility>
 
 #include "common/check.h"
+#include "obs/obs.h"
 
 namespace dbs {
+namespace {
+
+/// Radix key of a non-negative double: ascending keys list the values in
+/// descending order. A non-negative double orders like its bit pattern once
+/// −0.0 is folded into +0.0, so the key is that pattern complemented.
+std::uint64_t descending_key(double value) {
+  return ~std::bit_cast<std::uint64_t>(value == 0.0 ? 0.0 : value);
+}
+
+/// Item ids 0..n−1 sorted by ascending `keys`, ties broken by id: the order
+/// std::stable_sort gives. Keys that already arrive in order (every
+/// multilevel coarse level's benefit ratios do) skip the sort.
+///
+/// Otherwise each id replaces the lowest bit_width(n − 1) bits of its key,
+/// and a stable LSD radix sort orders these one-word records by their
+/// remaining high bits: the records start in id order, so equal high bits
+/// keep ascending ids. Moving 8-byte records instead of a key and an id
+/// saves a pass and a write stream per bucket (about half the time at
+/// N = 10⁶). Records whose high bits tie are then put in full-key order,
+/// one run at a time; on a 10⁶-item Zipf catalogue that is 14 pairs.
+/// Digits are 11 bits wide at every n: a pass writes 2048 buckets, and the
+/// histograms of all passes take at most 48 KiB.
+std::vector<ItemId> sort_ids_by_key(const std::vector<std::uint64_t>& keys) {
+  const std::size_t n = keys.size();
+  std::vector<ItemId> ids(n);
+  if (std::is_sorted(keys.begin(), keys.end())) {
+    std::iota(ids.begin(), ids.end(), 0);
+    return ids;
+  }
+
+  const int id_bits = static_cast<int>(std::bit_width(n - 1));
+  const std::uint64_t id_mask = (std::uint64_t{1} << id_bits) - 1;
+  constexpr int digit_bits = 11;
+  const int digits = (64 - id_bits + digit_bits - 1) / digit_bits;
+  const std::size_t buckets = std::size_t{1} << digit_bits;
+  const std::uint64_t digit_mask = buckets - 1;
+  std::vector<std::uint32_t> counts(digits * buckets, 0);
+  std::vector<std::uint64_t> records(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    records[i] = (keys[i] & ~id_mask) | i;
+    for (int d = 0; d < digits; ++d) {
+      ++counts[d * buckets + ((records[i] >> (id_bits + d * digit_bits)) & digit_mask)];
+    }
+  }
+  std::vector<std::uint64_t> scratch(n);
+  for (int d = 0; d < digits; ++d) {
+    const int shift = id_bits + d * digit_bits;
+    std::uint32_t* offset = counts.data() + d * buckets;
+    // A digit every record shares would leave the order as it is.
+    if (offset[(records[0] >> shift) & digit_mask] == n) continue;
+    std::exclusive_scan(offset, offset + buckets, offset, std::uint32_t{0});
+    for (const std::uint64_t record : records) {
+      scratch[offset[(record >> shift) & digit_mask]++] = record;
+    }
+    records.swap(scratch);
+  }
+
+  const auto by_key = [&](std::uint64_t a, std::uint64_t b) {
+    const std::uint64_t key_a = keys[a & id_mask];
+    const std::uint64_t key_b = keys[b & id_mask];
+    return key_a != key_b ? key_a < key_b : a < b;
+  };
+  for (std::size_t begin = 0; begin < n;) {
+    std::size_t end = begin + 1;
+    while (end < n && (records[end] >> id_bits) == (records[begin] >> id_bits)) ++end;
+    if (end - begin > 1) std::sort(records.begin() + begin, records.begin() + end, by_key);
+    for (; begin < end; ++begin) ids[begin] = static_cast<ItemId>(records[begin] & id_mask);
+  }
+  return ids;
+}
+
+}  // namespace
 
 Database::Database(std::vector<Item> items) {
   freq_.reserve(items.size());
@@ -16,7 +91,7 @@ Database::Database(std::vector<Item> items) {
     size_.push_back(it.size);
     freq_.push_back(it.freq);
   }
-  validate_and_normalize();
+  build();
 }
 
 Database::Database(const std::vector<double>& sizes, const std::vector<double>& freqs)
@@ -24,13 +99,15 @@ Database::Database(const std::vector<double>& sizes, const std::vector<double>& 
   DBS_CHECK_MSG(sizes.size() == freqs.size(),
                 "sizes (" << sizes.size() << ") and freqs (" << freqs.size()
                           << ") must be parallel");
-  validate_and_normalize();
+  build();
 }
 
-void Database::validate_and_normalize() {
+void Database::build() {
+  DBS_OBS_SPAN("model.database.build");
   DBS_CHECK_MSG(!freq_.empty(), "a broadcast database needs at least one item");
+  const std::size_t n = freq_.size();
   double freq_sum = 0.0;
-  for (std::size_t i = 0; i < freq_.size(); ++i) {
+  for (std::size_t i = 0; i < n; ++i) {
     DBS_CHECK_MSG(std::isfinite(size_[i]) && size_[i] > 0.0,
                   "item " << i << " has non-finite or non-positive size " << size_[i]);
     DBS_CHECK_MSG(std::isfinite(freq_[i]) && freq_[i] >= 0.0,
@@ -39,30 +116,28 @@ void Database::validate_and_normalize() {
   }
   DBS_CHECK_MSG(freq_sum > 0.0, "total access frequency must be positive");
 
-  // The benefit order and its prefix sums are part of the catalogue: every
-  // scheduler run shares this one sort instead of re-deriving it (the sort
-  // used to dominate DRP's measured wall time at N = 10^6). The ratio f/z is
-  // only the sort key; it lives in this block, so its memory is free again
-  // before the prefix sums allocate theirs.
+  // The benefit order and its rank-major columns are part of the catalogue:
+  // every scheduler run shares this one sort instead of re-deriving it. The
+  // ratio f/z is only the sort key; it lives in this block, so its memory is
+  // free again before the rank-major columns allocate theirs.
   total_size_ = 0.0;
   weighted_size_ = 0.0;
   {
-    std::vector<double> ratio(freq_.size());
-    for (std::size_t i = 0; i < freq_.size(); ++i) {
+    std::vector<std::uint64_t> keys(n);
+    for (std::size_t i = 0; i < n; ++i) {
       freq_[i] /= freq_sum;
       total_size_ += size_[i];
       weighted_size_ += freq_[i] * size_[i];
-      ratio[i] = freq_[i] / size_[i];
+      keys[i] = descending_key(freq_[i] / size_[i]);
     }
-    benefit_order_.resize(freq_.size());
-    std::iota(benefit_order_.begin(), benefit_order_.end(), 0);
-    std::stable_sort(benefit_order_.begin(), benefit_order_.end(),
-                     [&ratio](ItemId a, ItemId b) {
-                       if (ratio[a] != ratio[b]) return ratio[a] > ratio[b];
-                       return a < b;
-                     });
+    benefit_order_ = sort_ids_by_key(keys);
   }
-  benefit_prefix_ = PrefixSums(*this, benefit_order_);
+  benefit_freq_.resize(n);
+  benefit_size_.resize(n);
+  for (std::size_t rank = 0; rank < n; ++rank) {
+    benefit_freq_[rank] = freq_[benefit_order_[rank]];
+    benefit_size_[rank] = size_[benefit_order_[rank]];
+  }
 }
 
 Item Database::item(ItemId id) const {
@@ -80,13 +155,9 @@ std::vector<Item> Database::items() const {
 }
 
 std::vector<ItemId> Database::ids_by_freq_desc() const {
-  std::vector<ItemId> ids(freq_.size());
-  std::iota(ids.begin(), ids.end(), 0);
-  std::stable_sort(ids.begin(), ids.end(), [this](ItemId a, ItemId b) {
-    if (freq_[a] != freq_[b]) return freq_[a] > freq_[b];
-    return a < b;
-  });
-  return ids;
+  std::vector<std::uint64_t> keys(freq_.size());
+  std::transform(freq_.begin(), freq_.end(), keys.begin(), descending_key);
+  return sort_ids_by_key(keys);
 }
 
 }  // namespace dbs

@@ -3,8 +3,10 @@
 // Columnar core (PR 7): the catalogue is stored as structure-of-arrays —
 // contiguous `f` and `z` columns — so the schedulers' inner loops stream
 // over cache-line-dense memory instead of gathering fields out of an array
-// of structs. The row view (`Item`) is materialized on demand for IO and
-// tests; see docs/ARCHITECTURE.md §3 for the layout contract.
+// of structs. The same two columns are kept a second time in benefit order,
+// the order DRP, CDS and the multilevel coarsening walk. The row view
+// (`Item`) is materialized on demand for IO and tests; see
+// docs/ARCHITECTURE.md §3 for the layout contract.
 #pragma once
 
 #include <cstddef>
@@ -12,7 +14,6 @@
 #include <vector>
 
 #include "model/item.h"
-#include "model/prefix_sums.h"
 
 namespace dbs {
 
@@ -28,9 +29,11 @@ namespace dbs {
 /// assignment vector can be indexed by ItemId.
 ///
 /// Storage is columnar: freqs() and sizes() expose the two item columns as
-/// contiguous spans, and the benefit-ratio descending order (DRP's input
-/// order) is computed once at construction together with its PrefixSums —
-/// every scheduler run shares those instead of re-sorting.
+/// contiguous spans indexed by ItemId. The benefit-ratio descending order
+/// (DRP's input order) is computed once at construction, and
+/// benefit_freqs() and benefit_sizes() hold the same two columns by rank,
+/// an item's position in that order — every scheduler run streams those
+/// instead of re-sorting or gathering by id.
 class Database {
  public:
   /// \brief Builds a database from (size, freq) pairs; ids are assigned
@@ -67,9 +70,13 @@ class Database {
   /// returns the same cached vector.
   const std::vector<ItemId>& benefit_order() const { return benefit_order_; }
 
-  /// \brief PrefixSums over benefit_order(), shared by DRP, OrderedDp and
-  /// the CDS candidate index (built once at construction).
-  const PrefixSums& benefit_prefix() const { return benefit_prefix_; }
+  /// \brief The frequency column by rank: benefit_freqs()[i] is
+  /// freqs()[benefit_order()[i]], bit for bit.
+  std::span<const double> benefit_freqs() const { return benefit_freq_; }
+
+  /// \brief The size column by rank: benefit_sizes()[i] is
+  /// sizes()[benefit_order()[i]], bit for bit.
+  std::span<const double> benefit_sizes() const { return benefit_size_; }
 
   /// \brief Item ids sorted by access frequency, descending (the
   /// conventional environment's order, used by VF^K). Deterministic
@@ -77,14 +84,17 @@ class Database {
   std::vector<ItemId> ids_by_freq_desc() const;
 
  private:
-  void validate_and_normalize();
+  /// Validates and normalizes the id columns, then sorts the benefit order
+  /// and derives the rank-major columns.
+  void build();
 
   std::vector<double> freq_;  // f_j, normalized to Σ f = 1
   std::vector<double> size_;  // z_j
   double total_size_ = 0.0;
   double weighted_size_ = 0.0;
   std::vector<ItemId> benefit_order_;
-  PrefixSums benefit_prefix_;
+  std::vector<double> benefit_freq_;  // f by rank
+  std::vector<double> benefit_size_;  // z by rank
 };
 
 }  // namespace dbs

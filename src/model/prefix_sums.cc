@@ -19,4 +19,13 @@ PrefixSums::PrefixSums(const Database& db, std::span<const ItemId> order)
   }
 }
 
+PrefixSums::PrefixSums(std::span<const double> freqs, std::span<const double> sizes)
+    : freq(freqs.size() + 1), size(sizes.size() + 1) {
+  DBS_CHECK_MSG(freqs.size() == sizes.size(), "prefix columns must be parallel");
+  for (std::size_t i = 0; i < freqs.size(); ++i) {
+    freq[i + 1] = freq[i] + freqs[i];
+    size[i + 1] = size[i] + sizes[i];
+  }
+}
+
 }  // namespace dbs

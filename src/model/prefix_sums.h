@@ -1,10 +1,10 @@
 // Prefix aggregates over an ordered item sequence — the shared state that
 // lets every contiguous-slice cost query run in O(1) over columnar data.
 //
-// Promoted out of core/partition.h (PR 7): a PrefixSums is now first-class
-// model state. The Database caches one instance over its benefit-ratio
-// order, so DRP, OrderedDp and the CDS candidate index all share a single
-// build instead of re-deriving per-run (see docs/ARCHITECTURE.md §4).
+// Promoted out of core/partition.h as first-class model state. DRP
+// and OrderedDp build one per run; over the benefit order they stream the
+// Database's rank-major columns instead of gathering by id (see
+// docs/ARCHITECTURE.md §4).
 //
 // Invariants (checked by tests/partition_test.cc):
 //   * freq.size() == size.size() == n + 1 for an order of n items;
@@ -29,8 +29,7 @@ class Database;
 ///
 /// prefix_freq[i] and prefix_size[i] are the sums over the first i items, so
 /// the aggregates of the slice [a, b) are prefix[b] − prefix[a]. Shared by
-/// DRP's groups (each split scan needs no per-group recomputation) and by
-/// the Database's cached benefit order.
+/// DRP's groups, so each split scan needs no per-group recomputation.
 struct PrefixSums {
   std::vector<double> freq;  ///< size n+1, freq[0] = 0
   std::vector<double> size;  ///< size n+1, size[0] = 0
@@ -41,6 +40,12 @@ struct PrefixSums {
   /// \brief Builds prefix sums over `order`, a permutation (or subset) of
   /// item ids of `db`, accumulating strictly left to right.
   PrefixSums(const Database& db, std::span<const ItemId> order);
+
+  /// \brief Builds prefix sums over columns already in order: item i of the
+  /// order has frequency freqs[i] and size sizes[i]. Accumulates strictly
+  /// left to right, so over Database::benefit_freqs() and benefit_sizes()
+  /// it is bit-identical to the constructor above over benefit_order().
+  PrefixSums(std::span<const double> freqs, std::span<const double> sizes);
 
   /// \brief Aggregate frequency of slice [a, b).
   double freq_of(std::size_t a, std::size_t b) const { return freq[b] - freq[a]; }

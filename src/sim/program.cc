@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 
 #include "common/check.h"
 
@@ -9,39 +10,41 @@ namespace dbs {
 
 BroadcastProgram::BroadcastProgram(const Allocation& alloc, double bandwidth,
                                    SlotOrdering ordering)
-    : bandwidth_(bandwidth) {
+    : bandwidth_(bandwidth), item_channel_(alloc.assignment()) {
   DBS_CHECK(bandwidth > 0.0);
   const Database& db = alloc.database();
+  const std::span<const double> sizes = db.sizes();
   schedules_.resize(alloc.channels());
-  item_channel_.assign(db.size(), 0);
-  item_slot_index_.assign(db.size(), 0);
-
-  std::vector<std::vector<ItemId>> members = alloc.members();
   for (ChannelId c = 0; c < alloc.channels(); ++c) {
-    std::vector<ItemId>& ids = members[c];
-    switch (ordering) {
-      case SlotOrdering::kById:
-        break;  // members() lists ascending ids already
-      case SlotOrdering::kByFreqDesc:
-        std::stable_sort(ids.begin(), ids.end(), [&db](ItemId a, ItemId b) {
-          return db.item(a).freq > db.item(b).freq;
-        });
-        break;
-      case SlotOrdering::kByBenefitRatioDesc:
-        std::stable_sort(ids.begin(), ids.end(), [&db](ItemId a, ItemId b) {
-          return db.item(a).benefit_ratio() > db.item(b).benefit_ratio();
-        });
-        break;
-    }
-    ChannelSchedule& sched = schedules_[c];
-    sched.slots.reserve(ids.size());
+    schedules_[c].slots.reserve(alloc.channel_counts()[c]);
+  }
+  item_slot_index_.resize(db.size());
+  auto append = [&](ItemId id) {
+    std::vector<Slot>& slots = schedules_[item_channel_[id]].slots;
+    item_slot_index_[id] = static_cast<std::uint32_t>(slots.size());
+    slots.push_back(Slot{id, 0.0, sizes[id] / bandwidth_});
+  };
+
+  // One pass over a catalogue-wide order lists every channel in that order.
+  // Both sorted orders break ties by id, so each channel comes out exactly
+  // as a stable sort of its own ids would put it.
+  switch (ordering) {
+    case SlotOrdering::kById:
+      for (ItemId id = 0; id < db.size(); ++id) append(id);
+      break;
+    case SlotOrdering::kByFreqDesc:
+      for (const ItemId id : db.ids_by_freq_desc()) append(id);
+      break;
+    case SlotOrdering::kByBenefitRatioDesc:
+      for (const ItemId id : db.benefit_order()) append(id);
+      break;
+  }
+
+  for (ChannelSchedule& sched : schedules_) {
     double offset = 0.0;
-    for (ItemId id : ids) {
-      const double duration = db.sizes()[id] / bandwidth_;
-      item_channel_[id] = c;
-      item_slot_index_[id] = sched.slots.size();
-      sched.slots.push_back(Slot{id, offset, duration});
-      offset += duration;
+    for (Slot& slot : sched.slots) {
+      slot.start = offset;
+      offset += slot.duration;
     }
     sched.cycle_time = offset;
   }

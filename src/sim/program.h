@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "model/allocation.h"
@@ -59,8 +60,8 @@ class BroadcastProgram {
  private:
   double bandwidth_;
   std::vector<ChannelSchedule> schedules_;
-  std::vector<ChannelId> item_channel_;       // by item id
-  std::vector<std::size_t> item_slot_index_;  // slot position within its channel
+  std::vector<ChannelId> item_channel_;         // by item id
+  std::vector<std::uint32_t> item_slot_index_;  // slot position within its channel
 };
 
 }  // namespace dbs

@@ -6,6 +6,7 @@
 #include <cstddef>
 #include <cstdlib>
 #include <new>
+#include <tuple>
 #include <vector>
 
 #include "common/check.h"
@@ -33,9 +34,16 @@ void* operator new(std::size_t bytes) {
 namespace dbs {
 namespace {
 
-// The index's one correctness obligation: at every step its best_move() must
-// equal the exhaustive best_move(alloc) scan — same item, same target,
-// bit-identical gain (both compute Eq. 4 with the same expression).
+// The index's correctness obligation: whenever the exhaustive
+// best_move(alloc) scan finds an improving move (gain > 0), best_move()
+// returns that same move — same item, same target, bit-identical gain (both
+// compute Eq. 4 with the same expression). At a local optimum it returns
+// some move with gain ≤ 0, not necessarily the scan's: an item whose
+// min-load channel is its home caches −∞, so when the scan's best move
+// belongs to such an item the index names another.
+//
+// This check is stricter: the scan's move at every step, improving or not.
+// Each walk that uses it stays clear of the case above.
 void expect_matches_scan(Allocation& alloc, CandidateIndex& index,
                          const char* context) {
   const CdsMove scan = best_move(alloc);
@@ -44,6 +52,39 @@ void expect_matches_scan(Allocation& alloc, CandidateIndex& index,
   ASSERT_EQ(scan.from, indexed.from) << context;
   ASSERT_EQ(scan.to, indexed.to) << context;
   ASSERT_DOUBLE_EQ(scan.gain, indexed.gain) << context;
+}
+
+// The obligation itself, for states that may be local optima.
+void expect_keeps_contract(Allocation& alloc, CandidateIndex& index,
+                           const char* context) {
+  if (best_move(alloc).gain > 0.0) {
+    expect_matches_scan(alloc, index, context);
+  } else {
+    EXPECT_LE(index.best_move().gain, 0.0) << context;
+  }
+}
+
+// Applies 200 random legal moves, checking the index before each one.
+// apply() accepts any legal move, not just the one best_move() returned, so
+// the walk exercises the fold under dynamics a greedy descent never
+// produces (cost-increasing moves, revisits).
+void walk_randomly(Allocation& alloc, CandidateIndex& index,
+                   void (*check)(Allocation&, CandidateIndex&, const char*)) {
+  const ChannelId k = alloc.channels();
+  Rng rng(99);
+  for (int step = 0; step < 200; ++step) {
+    check(alloc, index, "random walk");
+    const ItemId item = static_cast<ItemId>(rng.below(alloc.items()));
+    ChannelId to = static_cast<ChannelId>(rng.below(k));
+    if (to == alloc.assignment()[item]) to = static_cast<ChannelId>((to + 1) % k);
+    index.apply(CdsMove{item, alloc.assignment()[item], to, 0.0});
+  }
+}
+
+Allocation local_optimum(const Database& db, ChannelId channels) {
+  Allocation optimum = run_drp(db, channels).allocation;
+  run_cds(optimum);
+  return optimum;
 }
 
 TEST(CandidateIndex, AgreesWithScanOnFreshAllocations) {
@@ -72,43 +113,51 @@ TEST(CandidateIndex, AgreesWithScanAlongAGreedyTrajectory) {
 }
 
 TEST(CandidateIndex, AgreesWithScanUnderArbitraryMoves) {
-  // apply() accepts any legal move, not just the one best_move() returned.
-  // A random walk exercises the fold/repair machinery under dynamics a
-  // greedy descent never produces (cost-increasing moves, revisits). The
-  // second shape walks away from a CDS local optimum, whose channel points
-  // spread along the lower hull (about a dozen pieces at K = 64), so the
-  // walk also checks folds in which the target's piece vanishes and folds in
-  // which the source's piece appears between two others.
+  // The second shape walks away from a CDS local optimum, whose channel
+  // points spread along the lower hull (about a dozen pieces at K = 64), so
+  // the walk also checks folds in which the target's piece vanishes and
+  // folds in which the source's piece appears between two others.
   struct Shape {
     std::size_t items;
     ChannelId channels;
     std::uint64_t seed;
     bool from_local_optimum;  // else from a random assignment
   };
-  for (const Shape shape : {Shape{60, 5, 22, false}, Shape{400, 64, 28, true}}) {
+  // The last three shapes put a block boundary (256 ranks) just past and
+  // just before the end, and spread the ranks over four blocks.
+  for (const Shape shape : {Shape{60, 5, 22, false}, Shape{400, 64, 28, true},
+                            Shape{255, 6, 29, false}, Shape{257, 6, 30, false},
+                            Shape{900, 16, 31, false}}) {
     const Database db = generate_database({.items = shape.items, .diversity = 3.0,
                                            .seed = shape.seed});
     const ChannelId k = shape.channels;
     Allocation alloc = [&] {
-      if (shape.from_local_optimum) {
-        Allocation optimum = run_drp(db, k).allocation;
-        run_cds(optimum);
-        return optimum;
-      }
+      if (shape.from_local_optimum) return local_optimum(db, k);
       Rng rng(7);
       std::vector<ChannelId> start(db.size());
       for (auto& c : start) c = static_cast<ChannelId>(rng.below(k));
       return Allocation(db, k, start);
     }();
     CandidateIndex index(alloc);
-    Rng rng(99);
-    for (int step = 0; step < 200; ++step) {
-      expect_matches_scan(alloc, index, "random walk");
-      const ItemId item = static_cast<ItemId>(rng.below(db.size()));
-      ChannelId to = static_cast<ChannelId>(rng.below(k));
-      if (to == alloc.assignment()[item]) to = static_cast<ChannelId>((to + 1) % k);
-      index.apply(CdsMove{item, alloc.assignment()[item], to, 0.0});
-    }
+    walk_randomly(alloc, index, expect_matches_scan);
+  }
+}
+
+TEST(CandidateIndex, KeepsItsContractOnWalksFromLocalOptima) {
+  // The same block-spanning catalogues as above, walked from DRP-CDS local
+  // optima. At the N = 257 optimum the scan's best move belongs to an item
+  // whose min-load channel is its home, so the index names another
+  // non-improving move; improving states along the walks must still match
+  // the scan exactly.
+  for (const auto& [items, k, seed] :
+       {std::tuple<std::size_t, ChannelId, std::uint64_t>{255, 6, 29},
+        {257, 6, 30}, {900, 16, 31}}) {
+    const Database db = generate_database({.items = items, .diversity = 3.0,
+                                           .seed = seed});
+    Allocation alloc = local_optimum(db, k);
+    CandidateIndex index(alloc);
+    ASSERT_LE(best_move(alloc).gain, 1e-12) << items << " items";
+    walk_randomly(alloc, index, expect_keeps_contract);
   }
 }
 
@@ -136,20 +185,48 @@ TEST(CandidateIndex, ExactLoadTiesGoToTheSmallerChannelLikeTheScan) {
 TEST(CandidateIndex, AgedIndexAgreesWithFreshlyBuiltIndex) {
   // After many incremental folds, the cached columns must equal what a
   // from-scratch construction computes — the repair path may not drift.
-  const Database db = generate_database({.items = 70, .diversity = 2.0, .seed = 23});
-  Allocation alloc(db, 6);
-  CandidateIndex aged(alloc);
-  for (int step = 0; step < 50; ++step) {
-    const CdsMove move = aged.best_move();
-    if (move.gain <= 1e-12) break;
-    aged.apply(move);
+  // Catalogues of one, two and four blocks of ranks.
+  for (const std::size_t items : {70, 255, 257, 900}) {
+    const Database db = generate_database({.items = items, .diversity = 2.0, .seed = 23});
+    Allocation alloc(db, 6);
+    CandidateIndex aged(alloc);
+    for (int step = 0; step < 50; ++step) {
+      const CdsMove move = aged.best_move();
+      if (move.gain <= 1e-12) break;
+      aged.apply(move);
+    }
+    const CdsMove from_aged = aged.best_move();
+    CandidateIndex fresh(alloc);
+    const CdsMove from_fresh = fresh.best_move();
+    EXPECT_EQ(from_aged.item, from_fresh.item) << items << " items";
+    EXPECT_EQ(from_aged.to, from_fresh.to) << items << " items";
+    EXPECT_DOUBLE_EQ(from_aged.gain, from_fresh.gain) << items << " items";
   }
-  const CdsMove from_aged = aged.best_move();
-  CandidateIndex fresh(alloc);
-  const CdsMove from_fresh = fresh.best_move();
-  EXPECT_EQ(from_aged.item, from_fresh.item);
-  EXPECT_EQ(from_aged.to, from_fresh.to);
-  EXPECT_DOUBLE_EQ(from_aged.gain, from_fresh.gain);
+}
+
+TEST(CandidateIndex, EqualGainsGoToTheSmallerIdAcrossBlocks) {
+  // Items 0 (f = 1/16, z = 8) and 417 (f = 1/8, z = 4) both gain exactly 11
+  // by leaving channel 0 (F = 1, Z = 64) for the empty channel 1; the 416
+  // fillers (f = 1/512, z = 1/8) gain about 0.25. Every value is dyadic, so
+  // the gains are exact. By benefit ratio item 417 ranks first and item 0
+  // ranks 417th, in the second block of ranks: the index must still pick
+  // the smaller id, as the scan does.
+  std::vector<double> sizes(418, 0.125);
+  std::vector<double> freqs(418, 1.0 / 512.0);
+  sizes[0] = 8.0;
+  freqs[0] = 1.0 / 16.0;
+  sizes[417] = 4.0;
+  freqs[417] = 1.0 / 8.0;
+  const Database db(sizes, freqs);
+  ASSERT_EQ(db.benefit_order().front(), 417u);
+  ASSERT_EQ(db.benefit_order().back(), 0u);
+  Allocation alloc(db, 2);
+  CandidateIndex index(alloc);
+  const CdsMove scan = best_move(alloc);
+  ASSERT_EQ(scan.item, 0u);
+  ASSERT_EQ(scan.gain, 11.0);
+  ASSERT_EQ(alloc.move_gain(417, 1), 11.0);
+  expect_matches_scan(alloc, index, "equal gains in different blocks");
 }
 
 TEST(CandidateIndex, CountsWorkAndRepairs) {

@@ -42,13 +42,15 @@ TEST(PrefixSums, RejectsOrdersTheDatabaseCannotHold) {
 }
 
 TEST(DatabaseBenefitPrefix, MatchesAdHocConstruction) {
-  // The Database-cached PrefixSums over the benefit order must be exactly
-  // what constructing one by hand yields — DRP consumes it directly.
+  // DRP and OrderedDp build their PrefixSums from the Database's rank-major
+  // columns; that must be exactly what gathering by id over the benefit
+  // order yields, so the seeded splits do not move.
   const Database db = generate_database({.items = 40, .diversity = 2.0, .seed = 80});
-  const PrefixSums ad_hoc(db, db.benefit_order());
-  EXPECT_EQ(db.benefit_prefix().freq, ad_hoc.freq);
-  EXPECT_EQ(db.benefit_prefix().size, ad_hoc.size);
-  EXPECT_EQ(db.benefit_prefix().items(), db.size());
+  const PrefixSums streamed(db.benefit_freqs(), db.benefit_sizes());
+  const PrefixSums gathered(db, db.benefit_order());
+  EXPECT_EQ(streamed.freq, gathered.freq);
+  EXPECT_EQ(streamed.size, gathered.size);
+  EXPECT_EQ(streamed.items(), db.size());
 }
 
 TEST(BestSplit, TwoItemsSplitBetweenThem) {

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "common/check.h"
+#include "common/rng.h"
 #include "core/drp_cds.h"
 #include "workload/generator.h"
 
@@ -101,6 +105,47 @@ TEST(Program, FreqOrderingPutsPopularFirst) {
   const auto& slots = program.schedule(0).slots;
   for (std::size_t i = 1; i < slots.size(); ++i) {
     EXPECT_GE(db.item(slots[i - 1].item).freq, db.item(slots[i].item).freq);
+  }
+}
+
+TEST(Program, SortedOrderingsMatchAStableSortOfEachChannel) {
+  // Tie-heavy integer sizes and frequencies, zeros included, scattered over
+  // five channels: each channel's slots must list its ids exactly as a
+  // stable sort of them (ascending ids in, ties kept) by the ordering's key
+  // does, and each slot must start where the previous one ends.
+  std::vector<double> sizes(200);
+  std::vector<double> freqs(200);
+  std::vector<ChannelId> assignment(200);
+  Rng rng(41);
+  for (std::size_t i = 0; i < 200; ++i) {
+    sizes[i] = static_cast<double>(1 + rng.below(3));
+    freqs[i] = static_cast<double>(rng.below(4));
+    assignment[i] = static_cast<ChannelId>(rng.below(5));
+  }
+  freqs[0] = 1.0;
+  const Database db(sizes, freqs);
+  const Allocation alloc(db, 5, assignment);
+  const std::vector<std::vector<ItemId>> members = alloc.members();
+  for (const SlotOrdering ordering :
+       {SlotOrdering::kByFreqDesc, SlotOrdering::kByBenefitRatioDesc}) {
+    const BroadcastProgram program(alloc, 10.0, ordering);
+    for (ChannelId c = 0; c < 5; ++c) {
+      std::vector<ItemId> expected = members[c];
+      std::stable_sort(expected.begin(), expected.end(), [&](ItemId a, ItemId b) {
+        return ordering == SlotOrdering::kByFreqDesc
+                   ? db.item(a).freq > db.item(b).freq
+                   : db.item(a).benefit_ratio() > db.item(b).benefit_ratio();
+      });
+      const std::vector<Slot>& slots = program.schedule(c).slots;
+      ASSERT_EQ(slots.size(), expected.size());
+      double offset = 0.0;
+      for (std::size_t i = 0; i < slots.size(); ++i) {
+        EXPECT_EQ(slots[i].item, expected[i]) << "channel " << c << ", slot " << i;
+        EXPECT_EQ(slots[i].start, offset);
+        offset += slots[i].duration;
+      }
+      EXPECT_EQ(program.schedule(c).cycle_time, offset);
+    }
   }
 }
 
