@@ -7,6 +7,7 @@
 
 #include "common/csv.h"
 #include "common/parallel.h"
+#include "core/kk_partition.h"
 
 namespace dbs::bench {
 
@@ -61,7 +62,8 @@ Measurement measure(const Database& db, Algorithm algorithm, ChannelId channels,
     request.portfolio_deadline_ms = 60'000.0;
   }
   const ScheduleResult result = schedule(db, request);
-  return Measurement{result.waiting_time, result.cost, result.elapsed_ms};
+  return Measurement{result.waiting_time, result.cost, result.elapsed_ms,
+                     result.cost / broadcast_cost_lower_bound(db, channels)};
 }
 
 namespace {
@@ -115,9 +117,11 @@ Measurement average_over_trials(const WorkloadConfig& config, Algorithm algorith
     total.waiting_time += m.waiting_time;
     total.cost += m.cost;
     total.elapsed_ms += m.elapsed_ms;
+    total.lb_gap += m.lb_gap;
   }
   const auto n = static_cast<double>(options.trials);
-  return Measurement{total.waiting_time / n, total.cost / n, total.elapsed_ms / n};
+  return Measurement{total.waiting_time / n, total.cost / n, total.elapsed_ms / n,
+                     total.lb_gap / n};
 }
 
 void emit(const AsciiTable& table, const Options& options,

@@ -56,6 +56,7 @@ struct Measurement {
   double waiting_time = 0.0;  ///< W_b (paper Eq. 2) at the requested bandwidth
   double cost = 0.0;          ///< Σ F_i·Z_i (paper Eq. 3)
   double elapsed_ms = 0.0;    ///< wall-clock runtime of the algorithm proper
+  double lb_gap = 0.0;        ///< cost ÷ broadcast_cost_lower_bound, untimed
 };
 
 /// \brief Runs `algorithm` on `db` and reports waiting time / cost / runtime.

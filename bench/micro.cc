@@ -130,6 +130,29 @@ void BM_CdsIndexedEngine(benchmark::State& state) {
 }
 BENCHMARK(BM_CdsIndexedEngine)->Range(128, 2048);
 
+// The candidate index's worst layout: channel = rank mod K spreads every
+// channel's members over the whole benefit order, so each fold walks two
+// spans of about N ranks. Capped at 300 moves, the length of a polish
+// from an interleaved start rather than a descent to convergence.
+void BM_CdsInterleavedStart(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const auto k = static_cast<ChannelId>(state.range(1));
+  const Database db = make_db(n);
+  std::vector<ChannelId> interleaved(n);
+  for (std::size_t rank = 0; rank < n; ++rank) {
+    interleaved[db.benefit_order()[rank]] = static_cast<ChannelId>(rank % k);
+  }
+  const Allocation start(db, k, interleaved);
+  for (auto _ : state) {
+    Allocation alloc = start;
+    benchmark::DoNotOptimize(run_cds(alloc, {.max_iterations = 300}));
+  }
+}
+BENCHMARK(BM_CdsInterleavedStart)
+    ->Args({20000, 64})
+    ->Args({100000, 512})
+    ->Unit(benchmark::kMillisecond);
+
 void BM_Annealing(benchmark::State& state) {
   const Database db = make_db(120);
   AnnealOptions o;

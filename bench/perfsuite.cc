@@ -4,9 +4,11 @@
 // paper's Table-5 midpoints plus an N=2000 scale point), the multilevel
 // planner and the online service, and emits a
 // machine-readable BENCH_<sha>.json with the per-config median and IQR of
-// wall time and cost plus host metadata. tools/perf_compare.py diffs two
-// such files and gates CI on >15% median wall-time regressions and on any
-// cost drift (costs are seeded, hence deterministic).
+// wall time, cost, waiting time and lb_gap (cost ÷ the KSY lower bound,
+// computed outside the timed call) plus host metadata.
+// tools/perf_compare.py diffs two such files and gates CI on >15% median
+// wall-time regressions and on any cost, wait or lb_gap drift (all seeded,
+// hence deterministic).
 //
 //   perfsuite [--out PATH] [--sha LABEL] [--trials N] [--gate]
 //             [--metrics-out PATH] [--trace-out PATH]
@@ -47,6 +49,7 @@
 #include "common/stats.h"
 #include "common/stopwatch.h"
 #include "common/table.h"
+#include "core/kk_partition.h"
 #include "harness.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -137,6 +140,7 @@ struct ServeDriftSample {
   double wall_ms = 0.0;        // Σ observe_window wall across the 30 epochs
   double cost = 0.0;           // final on-air program cost
   double waiting_time = 0.0;   // final on-air W_b
+  double lb_gap = 0.0;         // final on-air cost ÷ KSY bound
   double churn = 0.0;          // mean EpochReport::churn over the 30 epochs
 };
 
@@ -172,6 +176,8 @@ ServeDriftSample run_serve_drift_trial(const SuiteConfig& config,
   const std::shared_ptr<const dbs::ProgramSnapshot> final = server.snapshot();
   sample.cost = final->cost;
   sample.waiting_time = final->waiting_time;
+  sample.lb_gap =
+      final->cost / dbs::broadcast_cost_lower_bound(final->db, config.channels);
   return sample;
 }
 
@@ -304,7 +310,7 @@ int main(int argc, char** argv) {
                          "calib ms (median)", "cost (median)"});
   struct Row {
     const SuiteConfig* config;
-    std::vector<double> wall, calib, cost, wait;
+    std::vector<double> wall, calib, cost, wait, lb_gap;
     std::vector<double> churn;  // serve_drift rows only
   };
   std::vector<Row> rows;
@@ -320,19 +326,20 @@ int main(int argc, char** argv) {
     // Trials run one at a time so each can be bracketed by calibration
     // spins; measure_trials seeds trial t of a batch as base + t, so a
     // 1-trial batch at base + t reproduces exactly the same measurement.
-    Row row{&config, {}, {}, {}, {}, {}};
+    Row row{&config, {}, {}, {}, {}, {}, {}};
     Options one_trial = options;
     one_trial.trials = 1;
     one_trial.cds_max_iterations = config.cds_max_iterations;
     for (std::size_t trial = 0; trial < options.trials; ++trial) {
       const double calib_before = calibration_spin_ms();
-      double wall_ms, cost, wait;
+      double wall_ms, cost, wait, lb_gap;
       if (config.serve_drift) {
         const ServeDriftSample sample =
             run_serve_drift_trial(config, config.base_seed + trial);
         wall_ms = sample.wall_ms;
         cost = sample.cost;
         wait = sample.waiting_time;
+        lb_gap = sample.lb_gap;
         row.churn.push_back(sample.churn);
       } else {
         const std::vector<Measurement> batch = dbs::bench::measure_trials(
@@ -342,6 +349,7 @@ int main(int argc, char** argv) {
         wall_ms = m.elapsed_ms;
         cost = m.cost;
         wait = m.waiting_time;
+        lb_gap = m.lb_gap;
       }
       const double calib_after = calibration_spin_ms();
       row.wall.push_back(wall_ms);
@@ -351,6 +359,7 @@ int main(int argc, char** argv) {
       row.calib.push_back(std::min(calib_before, calib_after));
       row.cost.push_back(cost);
       row.wait.push_back(wait);
+      row.lb_gap.push_back(lb_gap);
     }
     table.add_row(config.name,
                   {dbs::percentile(row.wall, 0.5),
@@ -399,6 +408,8 @@ int main(int argc, char** argv) {
     json_metric(f, "cost", rows[i].cost);
     std::fputs(",\n", f);
     json_metric(f, "wait", rows[i].wait);
+    std::fputs(",\n", f);
+    json_metric(f, "lb_gap", rows[i].lb_gap);
     if (!rows[i].churn.empty()) {
       std::fputs(",\n", f);
       json_metric(f, "churn", rows[i].churn);

@@ -13,7 +13,10 @@ namespace dbs {
 namespace {
 
 constexpr double kNegInf = -std::numeric_limits<double>::infinity();
-constexpr std::uint32_t kNil = std::numeric_limits<std::uint32_t>::max();
+
+// Where an empty channel's span starts: past every rank, so widening it to
+// one rank gives exactly that rank.
+constexpr std::uint32_t kNoRank = std::numeric_limits<std::uint32_t>::max();
 
 // Ranks per block of the gain column. Selection scans N / kBlockRanks block
 // maxima and rescans only the blocks a fold wrote to, kBlockRanks gains each.
@@ -34,16 +37,8 @@ double max_of(const double* g, std::size_t len) {
 }  // namespace
 
 ChannelId CandidateIndex::PieceMap::target_at(std::size_t pos) const {
-  // Branchless upper-bound search: the member refresh calls this once per
-  // item, and its comparisons go either way from item to item.
-  const std::size_t* base = start.data();
-  std::size_t len = chan.size();
-  while (len > 1) {
-    const std::size_t half = len / 2;
-    base = base[half] <= pos ? base + half : base;
-    len -= half;
-  }
-  return chan[static_cast<std::size_t>(base - start.data())];
+  const auto after = std::ranges::upper_bound(start, pos);
+  return chan[static_cast<std::size_t>(after - start.begin()) - 1];
 }
 
 CandidateIndex::CandidateIndex(Allocation& alloc)
@@ -56,9 +51,7 @@ CandidateIndex::CandidateIndex(Allocation& alloc)
       gain_(alloc.items()),
       home_(alloc.items()),
       rank_(alloc.items()),
-      head_(alloc.channels(), kNil),
-      next_(alloc.items()),
-      prev_(alloc.items()),
+      spans_(alloc.channels(), Span{kNoRank, 0}),
       block_max_((alloc.items() + kBlockRanks - 1) / kBlockRanks),
       by_zf_(alloc.channels()),
       dirty_(block_max_.size(), 0) {
@@ -77,7 +70,9 @@ CandidateIndex::CandidateIndex(Allocation& alloc)
   for (std::uint32_t r = 0; r < n; ++r) {
     rank_[order_[r]] = r;
     home_[r] = assignment[order_[r]];
-    link(r, home_[r]);
+    Span& span = spans_[home_[r]];
+    span.lo = std::min(span.lo, r);
+    span.hi = r + 1;
   }
 
   build_hull();
@@ -88,22 +83,6 @@ CandidateIndex::CandidateIndex(Allocation& alloc)
     }
   }
   for (std::size_t b = 0; b < block_max_.size(); ++b) mark_dirty(b);
-}
-
-void CandidateIndex::link(std::uint32_t rank, ChannelId c) {
-  prev_[rank] = kNil;
-  next_[rank] = head_[c];
-  if (head_[c] != kNil) prev_[head_[c]] = rank;
-  head_[c] = rank;
-}
-
-void CandidateIndex::unlink(std::uint32_t rank, ChannelId c) {
-  if (prev_[rank] != kNil) {
-    next_[prev_[rank]] = next_[rank];
-  } else {
-    head_[c] = next_[rank];
-  }
-  if (next_[rank] != kNil) prev_[next_[rank]] = prev_[rank];
 }
 
 void CandidateIndex::build_hull() {
@@ -204,6 +183,40 @@ void CandidateIndex::mark_dirty(std::size_t block) {
   }
 }
 
+void CandidateIndex::refresh_members(ChannelId c) {
+  // One block of the span at a time: pack the block's members into `found`
+  // without a branch, then refresh them in rank order, each target read
+  // from a cursor over the piece map instead of a search. The home column
+  // and the members' f, z and gain are all read in rank order, so the walk
+  // streams; only a span much wider than its members (an interleaved
+  // layout) makes it cost more than a per-channel member list would.
+  std::uint32_t found[kBlockRanks];
+  Span& span = spans_[c];
+  Span tight{kNoRank, 0};
+  std::size_t piece = 0;
+  for (std::uint32_t first = span.lo; first < span.hi;) {
+    const auto end = static_cast<std::uint32_t>(
+        std::min<std::size_t>(span.hi, (first / kBlockRanks + 1) * kBlockRanks));
+    std::size_t count = 0;
+    for (std::uint32_t r = first; r < end; ++r) {
+      found[count] = r;
+      count += home_[r] == c;
+    }
+    if (count > 0) {
+      mark_dirty(first / kBlockRanks);
+      tight.lo = std::min(tight.lo, found[0]);
+      tight.hi = found[count - 1] + 1;
+    }
+    for (std::size_t m = 0; m < count; ++m) {
+      const std::uint32_t r = found[m];
+      while (pieces_.start[piece + 1] <= r) ++piece;
+      refresh_gain(r, c, pieces_.chan[piece]);
+    }
+    first = end;
+  }
+  span = tight;
+}
+
 void CandidateIndex::fold() {
   const ChannelId p = touched_p_;
   const ChannelId q = touched_q_;
@@ -214,8 +227,8 @@ void CandidateIndex::fold() {
   // Walk the segments on which neither map changes piece. A gain depends on
   // the item's home and target aggregates only, so it is stale exactly when
   // the target changed, the target is p or q, or the home is p or q. The
-  // first two are whole rank ranges; items on p or q follow from their
-  // lists (skipped here, so each gain is computed once).
+  // first two are whole rank ranges; items on p or q are found in their
+  // spans (skipped here, so each gain is computed once).
   const std::size_t n = alloc_.items();
   std::size_t i = 0;
   std::size_t j = 0;
@@ -236,13 +249,8 @@ void CandidateIndex::fold() {
     i += old_pieces_.start[i + 1] == end;
     j += pieces_.start[j + 1] == end;
   }
-  for (const ChannelId c : {p, q}) {
-    for (std::uint32_t r = head_[c]; r != kNil; r = next_[r]) {
-      refresh_gain(r, c, pieces_.target_at(r));
-      mark_dirty(r / kBlockRanks);
-    }
-    if (p == q) break;
-  }
+  refresh_members(p);
+  if (q != p) refresh_members(q);
 }
 
 CdsMove CandidateIndex::best_move() {
@@ -278,9 +286,10 @@ void CandidateIndex::apply(const CdsMove& move) {
   const ChannelId from = alloc_.channel_of(move.item);
   alloc_.move(move.item, move.to);
   const std::uint32_t rank = rank_[move.item];
-  unlink(rank, from);
-  link(rank, move.to);
   home_[rank] = move.to;
+  Span& span = spans_[move.to];
+  span.lo = std::min(span.lo, rank);
+  span.hi = std::max(span.hi, rank + 1);
   touched_p_ = from;
   touched_q_ = move.to;
   pending_ = true;

@@ -17,19 +17,20 @@
 //     Allocation::move_gain's exact Eq. 4 arithmetic, or −∞ when that
 //     channel is the item's home;
 //   * home: the item's channel, kept in step with the allocation by apply();
-//   * next/prev: per-channel member lists;
-// plus the rank of each ItemId, and one gain maximum per block of ranks. f
-// and z come from the Database's rank-major columns.
+// plus the rank of each ItemId, one rank span [lo, hi) per channel that
+// holds all of its members, and one gain maximum per block of ranks. f and
+// z come from the Database's rank-major columns.
 //
 // After a move p→q the fold rebuilds the hull, finds each piece's start with
 // one binary search per hull edge, and merges the old and new piece maps: a
 // gain is recomputed only where the piece channel changed or is p or q (whole
-// rank ranges, streamed), and for the items living on p or q (walked through
-// the member lists). Every other gain is still exact, so the fold does no
-// O(N) pass. Selection refreshes the maxima of the blocks the fold touched,
-// then scans the block maxima. All scratch is sized at construction, so a
-// fold allocates nothing. See docs/ARCHITECTURE.md §5 for the exactness
-// argument.
+// rank ranges, streamed), and for the items living on p or q (found by
+// streaming the home column over p's and q's spans, which the walk then
+// tightens to their first and last member). Every other gain is still
+// exact, so the fold does no O(N) pass. Selection refreshes the maxima of
+// the blocks the fold touched, then scans the block maxima. All scratch is
+// sized at construction, so a fold allocates nothing. See
+// docs/ARCHITECTURE.md §5 for the exactness argument.
 #pragma once
 
 #include <cstddef>
@@ -90,6 +91,14 @@ class CandidateIndex {
     ChannelId target_at(std::size_t pos) const;
   };
 
+  /// Ranks [lo, hi) hold every member of a channel; lo ≥ hi when it has
+  /// none. Exact (first member, last member + 1) except for the source
+  /// channel of a pending move, whose span the next fold tightens.
+  struct Span {
+    std::uint32_t lo;
+    std::uint32_t hi;
+  };
+
   /// \brief Rebuilds hull_ from the current channel aggregates.
   void build_hull();
 
@@ -109,11 +118,10 @@ class CandidateIndex {
   /// \brief Folds the pending move p→q into the piece map and the gains.
   void fold();
 
-  /// \brief Pushes `rank` onto channel c's member list.
-  void link(std::uint32_t rank, ChannelId c);
-
-  /// \brief Removes `rank` from channel c's member list.
-  void unlink(std::uint32_t rank, ChannelId c);
+  /// \brief Recomputes the gains of channel c's members, walking its span
+  /// one block at a time, and tightens the span to its first and last
+  /// member.
+  void refresh_members(ChannelId c);
 
   Allocation& alloc_;
   std::span<const ItemId> order_;      // Database::benefit_order(): rank → id
@@ -125,9 +133,7 @@ class CandidateIndex {
   std::vector<double> gain_;         // by rank: Δc of the move to the piece, or −∞
   std::vector<ChannelId> home_;      // by rank
   std::vector<std::uint32_t> rank_;  // by ItemId
-  std::vector<std::uint32_t> head_;  // first member rank of each channel
-  std::vector<std::uint32_t> next_;  // per-channel member lists, by rank
-  std::vector<std::uint32_t> prev_;
+  std::vector<Span> spans_;          // by channel
   std::vector<double> block_max_;    // max gain of each block of ranks
 
   PieceMap pieces_;

@@ -107,26 +107,31 @@ void Database::build() {
   DBS_CHECK_MSG(!freq_.empty(), "a broadcast database needs at least one item");
   const std::size_t n = freq_.size();
   double freq_sum = 0.0;
+  total_size_ = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
     DBS_CHECK_MSG(std::isfinite(size_[i]) && size_[i] > 0.0,
                   "item " << i << " has non-finite or non-positive size " << size_[i]);
     DBS_CHECK_MSG(std::isfinite(freq_[i]) && freq_[i] >= 0.0,
                   "item " << i << " has non-finite or negative frequency " << freq_[i]);
     freq_sum += freq_[i];
+    total_size_ += size_[i];
   }
   DBS_CHECK_MSG(freq_sum > 0.0, "total access frequency must be positive");
+  // Finite items can still sum to +inf: normalizing by it would zero every
+  // frequency, and an infinite total size poisons every cost.
+  DBS_CHECK_MSG(std::isfinite(freq_sum),
+                "total access frequency overflows to " << freq_sum);
+  DBS_CHECK_MSG(std::isfinite(total_size_), "total size overflows to " << total_size_);
 
   // The benefit order and its rank-major columns are part of the catalogue:
   // every scheduler run shares this one sort instead of re-deriving it. The
   // ratio f/z is only the sort key; it lives in this block, so its memory is
   // free again before the rank-major columns allocate theirs.
-  total_size_ = 0.0;
   weighted_size_ = 0.0;
   {
     std::vector<std::uint64_t> keys(n);
     for (std::size_t i = 0; i < n; ++i) {
       freq_[i] /= freq_sum;
-      total_size_ += size_[i];
       weighted_size_ += freq_[i] * size_[i];
       keys[i] = descending_key(freq_[i] / size_[i]);
     }

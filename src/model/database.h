@@ -21,8 +21,9 @@ namespace dbs {
 ///
 /// Invariants (checked on construction):
 ///  * at least one item;
-///  * every size is strictly positive and finite;
-///  * every frequency is non-negative and finite, with positive total.
+///  * every size is strictly positive and finite, with finite total;
+///  * every frequency is non-negative and finite, with positive, finite
+///    total.
 ///
 /// Frequencies are normalized so that Σ f_j = 1, matching the paper's model.
 /// Item ids are the positions in the original input order, so an Allocation's

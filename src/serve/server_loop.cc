@@ -94,12 +94,15 @@ EpochReport BroadcastServerLoop::observe_window(const std::vector<Request>& wind
   // Publish as a fresh immutable snapshot (RCU hand-off): the snapshot owns
   // its own Database copy, so readers holding the old version keep a
   // consistent db+alloc pair while new readers see this one.
-  auto next = std::make_shared<const ProgramSnapshot>(
-      std::move(fresh), config_.channels, std::move(planned), epoch_,
-      config_.bandwidth);
-  report.version = next->version;
-  report.waiting_time = next->waiting_time;
-  publish(std::move(next));
+  {
+    DBS_OBS_SPAN("serve.epoch.publish");
+    auto next = std::make_shared<const ProgramSnapshot>(
+        std::move(fresh), config_.channels, std::move(planned), epoch_,
+        config_.bandwidth);
+    report.version = next->version;
+    report.waiting_time = next->waiting_time;
+    publish(std::move(next));
+  }
   return report;
 }
 

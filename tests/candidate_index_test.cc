@@ -64,6 +64,18 @@ void expect_keeps_contract(Allocation& alloc, CandidateIndex& index,
   }
 }
 
+// Whatever the state, an aged index selects exactly what one built from
+// scratch on the same allocation selects: no fold leaves a trace.
+void expect_matches_fresh(Allocation& alloc, CandidateIndex& aged,
+                          const char* context) {
+  CandidateIndex fresh(alloc);
+  const CdsMove from_aged = aged.best_move();
+  const CdsMove from_fresh = fresh.best_move();
+  ASSERT_EQ(from_aged.item, from_fresh.item) << context;
+  ASSERT_EQ(from_aged.to, from_fresh.to) << context;
+  ASSERT_EQ(from_aged.gain, from_fresh.gain) << context;
+}
+
 // Applies 200 random legal moves, checking the index before each one.
 // apply() accepts any legal move, not just the one best_move() returned, so
 // the walk exercises the fold under dynamics a greedy descent never
@@ -140,6 +152,55 @@ TEST(CandidateIndex, AgreesWithScanUnderArbitraryMoves) {
     }();
     CandidateIndex index(alloc);
     walk_randomly(alloc, index, expect_matches_scan);
+  }
+}
+
+TEST(CandidateIndex, AgreesWithScanFromAnInterleavedStart) {
+  // Channel = rank mod K spreads every channel's members over nearly all N
+  // ranks, so each fold walks two spans of about N ranks that hold N/K
+  // members each: the member walk's worst layout.
+  const Database db = generate_database({.items = 900, .diversity = 3.0, .seed = 32});
+  constexpr ChannelId k = 8;
+  std::vector<ChannelId> start(db.size());
+  for (std::size_t rank = 0; rank < db.size(); ++rank) {
+    start[db.benefit_order()[rank]] = static_cast<ChannelId>(rank % k);
+  }
+  Allocation alloc(db, k, start);
+  CandidateIndex index(alloc);
+  walk_randomly(alloc, index, expect_matches_scan);
+}
+
+TEST(CandidateIndex, AgreesWithScanWhileAChannelEmptiesAndRefills) {
+  // Every member leaves channel 1, one move at a time, so its span shrinks
+  // to nothing; then the items at rank 0 and rank N − 1 move in, so it
+  // grows back from both ends of the rank order. A greedy descent from
+  // there selects any gain a fold missed before it stops, since every
+  // stale gain is selected once it is the top one.
+  const Database db = generate_database({.items = 600, .diversity = 3.0, .seed = 33});
+  constexpr ChannelId k = 4;
+  constexpr ChannelId emptied = 1;
+  Rng rng(8);
+  std::vector<ChannelId> start(db.size());
+  for (auto& c : start) c = static_cast<ChannelId>(rng.below(k));
+  Allocation alloc(db, k, start);
+  CandidateIndex index(alloc);
+  auto apply_and_check = [&](const CdsMove& move, const char* context) {
+    index.apply(move);
+    expect_keeps_contract(alloc, index, context);
+    expect_matches_fresh(alloc, index, context);
+  };
+  auto move_to = [&](ItemId item, ChannelId to, const char* context) {
+    apply_and_check(CdsMove{item, alloc.assignment()[item], to, 0.0}, context);
+  };
+  constexpr ChannelId others[] = {0, 2, 3};
+  for (ItemId item = 0; item < db.size(); ++item) {
+    if (alloc.assignment()[item] == emptied) move_to(item, others[item % 3], "emptying");
+  }
+  ASSERT_EQ(alloc.count_of(emptied), 0u);
+  move_to(db.benefit_order().front(), emptied, "refilled at rank 0");
+  move_to(db.benefit_order().back(), emptied, "refilled at rank N - 1");
+  for (CdsMove move = index.best_move(); move.gain > 0.0; move = index.best_move()) {
+    apply_and_check(move, "greedy descent after the refill");
   }
 }
 

@@ -67,6 +67,25 @@ TEST(Database, RejectsNonFiniteInput) {
                ContractViolation);
 }
 
+TEST(Database, RejectsTotalsThatOverflow) {
+  // Every value is finite, but each sum overflows to +inf. Normalizing by
+  // Σf = inf would zero every frequency, and DRP-CDS would report cost 0.
+  const struct {
+    std::vector<double> sizes;
+    std::vector<double> freqs;
+    const char* message;
+  } cases[] = {{{1.0, 1.0, 1.0}, {1e308, 1e308, 1e308}, "total access frequency overflows"},
+               {{1e308, 1e308, 1.0}, {1.0, 1.0, 1.0}, "total size overflows"}};
+  for (const auto& c : cases) {
+    try {
+      const Database db(c.sizes, c.freqs);
+      ADD_FAILURE() << "accepted a catalogue whose " << c.message;
+    } catch (const ContractViolation& e) {
+      EXPECT_NE(std::string(e.what()).find(c.message), std::string::npos) << e.what();
+    }
+  }
+}
+
 TEST(Database, RejectsMismatchedArrays) {
   EXPECT_THROW(Database({1.0, 2.0}, {1.0}), ContractViolation);
 }

@@ -24,11 +24,13 @@ Checks, in order:
               --subset is given (used by `perfsuite --gate`, which skips
               heavy configs); parameter drift always fails because numbers
               measured on different workloads are not comparable.
-  cost        Per-trial costs (and waiting times) are seeded, hence
-              deterministic: they are compared element-wise over the common
-              trial prefix with relative tolerance 1e-9. Any drift fails —
-              an intentional algorithm change must regenerate the baseline
-              (see docs/BENCHMARKING.md).
+  cost        Per-trial costs, waiting times and lb_gap (cost ÷ the KSY
+              lower bound) are seeded, hence deterministic: they are
+              compared element-wise over the common trial prefix with
+              relative tolerance 1e-9. A metric either file lacks is not
+              gated, so snapshots written before it existed still parse.
+              Any drift fails — an intentional algorithm change must
+              regenerate the baseline (see docs/BENCHMARKING.md).
   time        Median wall time per config: NEW > OLD * (1 + --max-regression)
               fails, OLD being the wall baseline (the cost baseline unless
               LATEST names another; configs it lacks are not gated). Only
@@ -194,7 +196,7 @@ def compare(old: dict, new: dict, *, max_regression: float, min_ms: float,
 
         # Determinism gate: seeded costs must match trial-for-trial.
         config_ok = True
-        for metric in ("cost", "wait"):
+        for metric in ("cost", "wait", "lb_gap"):
             if metric not in old_config or metric not in new_config:
                 continue
             old_trials = old_config[metric]["per_trial"]
@@ -322,6 +324,10 @@ def selftest() -> int:
             label="cost drift with a separate wall baseline"),
         run("other_host.json", "regress.json", 1, wall_name="base.json",
             label="wall baseline gates wall time, not the cost baseline"),
+        run("base.json", "gap_base.json", 0,
+            label="lb_gap absent from OLD is not gated"),
+        run("gap_base.json", "gap_drift.json", 1,
+            label="lb_gap drift (determinism)"),
     ]
     if all(checks):
         print("selftest: all golden cases behave")
