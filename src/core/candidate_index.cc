@@ -50,7 +50,6 @@ CandidateIndex::CandidateIndex(Allocation& alloc)
       chan_size_(alloc.channel_sizes()),
       gain_(alloc.items()),
       home_(alloc.items()),
-      rank_(alloc.items()),
       spans_(alloc.channels(), Span{kNoRank, 0}),
       block_max_((alloc.items() + kBlockRanks - 1) / kBlockRanks),
       by_zf_(alloc.channels()),
@@ -68,7 +67,6 @@ CandidateIndex::CandidateIndex(Allocation& alloc)
   dirty_blocks_.reserve(block_max_.size());
   const std::vector<ChannelId>& assignment = alloc_.assignment();
   for (std::uint32_t r = 0; r < n; ++r) {
-    rank_[order_[r]] = r;
     home_[r] = assignment[order_[r]];
     Span& span = spans_[home_[r]];
     span.lo = std::min(span.lo, r);
@@ -278,6 +276,7 @@ CdsMove CandidateIndex::best_move() {
       if (gain_[r] == top && (best == n || order_[r] < order_[best])) best = r;
     }
   }
+  selected_ = static_cast<std::uint32_t>(best);
   return CdsMove{order_[best], home_[best], pieces_.target_at(best), top};
 }
 
@@ -285,7 +284,12 @@ void CandidateIndex::apply(const CdsMove& move) {
   DBS_CHECK_MSG(!pending_, "apply() calls must be interleaved with best_move()");
   const ChannelId from = alloc_.channel_of(move.item);
   alloc_.move(move.item, move.to);
-  const std::uint32_t rank = rank_[move.item];
+  // CDS applies the move best_move() just returned, whose rank selection
+  // found; any other move pays a binary search.
+  const std::uint32_t rank =
+      order_[selected_] == move.item
+          ? selected_
+          : static_cast<std::uint32_t>(alloc_.database().rank_of(move.item));
   home_[rank] = move.to;
   Span& span = spans_[move.to];
   span.lo = std::min(span.lo, rank);

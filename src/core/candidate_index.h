@@ -17,9 +17,10 @@
 //     Allocation::move_gain's exact Eq. 4 arithmetic, or −∞ when that
 //     channel is the item's home;
 //   * home: the item's channel, kept in step with the allocation by apply();
-// plus the rank of each ItemId, one rank span [lo, hi) per channel that
-// holds all of its members, and one gain maximum per block of ranks. f and
-// z come from the Database's rank-major columns.
+// plus one rank span [lo, hi) per channel that holds all of its members,
+// and one gain maximum per block of ranks. f and z come from the Database's
+// rank-major columns. apply() reuses the rank of the move best_move() just
+// returned and asks the Database for any other moved item's rank.
 //
 // After a move p→q the fold rebuilds the hull, finds each piece's start with
 // one binary search per hull edge, and merges the old and new piece maps: a
@@ -130,11 +131,10 @@ class CandidateIndex {
   std::span<const double> chan_freq_;  // Allocation's F column (stable storage)
   std::span<const double> chan_size_;  // Allocation's Z column (stable storage)
 
-  std::vector<double> gain_;         // by rank: Δc of the move to the piece, or −∞
-  std::vector<ChannelId> home_;      // by rank
-  std::vector<std::uint32_t> rank_;  // by ItemId
-  std::vector<Span> spans_;          // by channel
-  std::vector<double> block_max_;    // max gain of each block of ranks
+  std::vector<double> gain_;       // by rank: Δc of the move to the piece, or −∞
+  std::vector<ChannelId> home_;    // by rank
+  std::vector<Span> spans_;        // by channel
+  std::vector<double> block_max_;  // max gain of each block of ranks
 
   PieceMap pieces_;
   PieceMap old_pieces_;  // fold scratch: the map before the pending move
@@ -145,6 +145,7 @@ class CandidateIndex {
   std::vector<std::uint8_t> dirty_;     // by block: queued in dirty_blocks_
   std::vector<std::uint32_t> dirty_blocks_;  // blocks whose max is stale
 
+  std::uint32_t selected_ = 0;  // rank of the move best_move() last returned
   bool pending_ = false;
   ChannelId touched_p_ = 0;
   ChannelId touched_q_ = 0;

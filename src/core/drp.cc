@@ -66,7 +66,14 @@ DrpResult run_drp(const Database& db, ChannelId channels, const DrpOptions& opti
   DBS_CHECK_MSG(channels <= n,
                 "cannot fill " << channels << " channels with only " << n << " items");
 
-  std::vector<ItemId> order = ordered_ids(db, options.ordering);
+  // The paper's order is the Database's own; only the ablation orderings
+  // sort a copy.
+  std::vector<ItemId> ablation_order;
+  std::span<const ItemId> order = db.benefit_order();
+  if (options.ordering != ItemOrdering::kBenefitRatioDesc) {
+    ablation_order = ordered_ids(db, options.ordering);
+    order = ablation_order;
+  }
   const PrefixSums sums = ordered_prefix(db, options.ordering, order);
 
   struct QueueEntry {
@@ -129,8 +136,8 @@ DrpResult run_drp(const Database& db, ChannelId channels, const DrpOptions& opti
     DBS_OBS_HISTOGRAM_OBSERVE("core.drp.group_items", g.end - g.begin);
   }
 
-  return DrpResult{Allocation(db, channels, std::move(assignment)), std::move(order),
-                   std::move(done), splits};
+  return DrpResult{Allocation(db, channels, std::move(assignment)), std::move(done),
+                   splits};
 }
 
 }  // namespace dbs

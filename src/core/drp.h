@@ -50,10 +50,12 @@ struct DrpOptions {
   ItemOrdering ordering = ItemOrdering::kBenefitRatioDesc;
 };
 
-/// One group produced by DRP, expressed as a slice of the sorted order.
+/// One group produced by DRP, expressed as a slice of its item order:
+/// ordered_ids(db, options.ordering), which for the paper's ordering is
+/// db.benefit_order().
 struct DrpGroup {
-  std::size_t begin = 0;  ///< first index into the order vector
-  std::size_t end = 0;    ///< one past the last index
+  std::size_t begin = 0;  ///< first position in the order
+  std::size_t end = 0;    ///< one past the last position
   double cost = 0.0;      ///< F·Z of the slice
 };
 
@@ -61,7 +63,6 @@ struct DrpGroup {
 /// order (useful for tests and for reproducing the paper's Table 3).
 struct DrpResult {
   Allocation allocation;
-  std::vector<ItemId> order;     ///< the sorted item order DRP used
   std::vector<DrpGroup> groups;  ///< final groups, sorted by begin index
   std::size_t splits = 0;        ///< number of split operations (= K − 1)
 };

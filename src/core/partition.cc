@@ -1,40 +1,62 @@
 #include "core/partition.h"
 
+#include <algorithm>
+
 #include "common/check.h"
 #include "obs/obs.h"
 
 namespace dbs {
+namespace {
+
+// Split points per block of the pruned scan.
+constexpr std::size_t kBlockPoints = 256;
+
+}  // namespace
 
 SplitResult best_split(const PrefixSums& sums, std::size_t begin, std::size_t end) {
   DBS_CHECK_MSG(end <= sums.freq.size() - 1, "slice end out of range");
-  DBS_CHECK_MSG(end - begin >= 2, "cannot split a group of fewer than two items");
+  DBS_CHECK_MSG(begin + 2 <= end, "cannot split a group of fewer than two items");
   DBS_OBS_COUNTER_INC("core.partition.split_searches");
   DBS_OBS_COUNTER_ADD("core.partition.split_candidates", end - begin - 1);
 
   // Hoist the slice endpoints so the scan touches only the two contiguous
   // prefix columns. The arithmetic is term-for-term identical to
   // cost_of(begin, p) + cost_of(p, end), so results stay bit-identical to
-  // the pre-columnar scan (tie-break: first strict improvement wins, i.e.
-  // smallest p).
+  // the pre-columnar scan.
   const double* pf = sums.freq.data();
   const double* pz = sums.size.data();
   const double f0 = pf[begin], z0 = pz[begin];
   const double f1 = pf[end], z1 = pz[end];
+  const auto left = [&](std::size_t p) { return (pf[p] - f0) * (pz[p] - z0); };
+  const auto right = [&](std::size_t p) { return (f1 - pf[p]) * (z1 - pz[p]); };
 
-  SplitResult best;
-  double best_total = 0.0;
-  bool first = true;
-  for (std::size_t p = begin + 1; p < end; ++p) {
-    const double left = (pf[p] - f0) * (pz[p] - z0);
-    const double right = (f1 - pf[p]) * (z1 - pz[p]);
-    const double total = left + right;
-    if (first || total < best_total) {
-      first = false;
+  // The result is the smallest (total, p): ties resolve to the smallest p,
+  // whatever order the candidates are visited in.
+  const std::size_t first = begin + 1;
+  SplitResult best{first, left(first), right(first)};
+  double best_total = best.total();
+  const auto consider = [&](std::size_t p) {
+    const double l = left(p);
+    const double r = right(p);
+    const double total = l + r;
+    if (total < best_total || (total == best_total && p < best.split)) {
       best_total = total;
-      best.split = p;
-      best.left_cost = left;
-      best.right_cost = right;
+      best = SplitResult{p, l, r};
     }
+  };
+
+  // Prefix sums of non-negative f and z never decrease, and IEEE rounding
+  // is monotone, so left(p) never decreases and right(p) never increases
+  // along the slice. Every split point of the block [a, b) therefore costs
+  // at least left(a) + right(b − 1): a block whose bound exceeds the best
+  // total so far holds neither a better split nor an equal one, and is
+  // skipped. Seeding the best with every block's first point makes that
+  // bound bite from the first block on.
+  for (std::size_t a = first; a < end; a += kBlockPoints) consider(a);
+  for (std::size_t a = first; a < end; a += kBlockPoints) {
+    const std::size_t b = std::min(a + kBlockPoints, end);
+    if (left(a) + right(b - 1) > best_total) continue;
+    for (std::size_t p = a + 1; p < b; ++p) consider(p);
   }
   return best;
 }

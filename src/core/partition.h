@@ -1,6 +1,8 @@
 // Procedure Partition (paper §3.1): given a group of items ordered by
 // benefit ratio, find the contiguous split point p that minimizes
-// cost(left) + cost(right). With prefix sums the scan is O(n).
+// cost(left) + cost(right). With prefix sums the scan is O(n), and a lower
+// bound per block of 256 split points skips the blocks that cannot win
+// (docs/ARCHITECTURE.md §4).
 //
 // PrefixSums itself now lives in model/prefix_sums.h (promoted in PR 7 so
 // the Database can cache one over its benefit order); this header re-exports
@@ -26,8 +28,9 @@ struct SplitResult {
 };
 
 /// \brief Finds the split index p ∈ (begin, end) minimizing
-/// cost([begin,p)) + cost([p,end)). Requires end − begin ≥ 2.
-/// Ties resolve to the smallest p, making the procedure deterministic.
+/// cost([begin,p)) + cost([p,end)). Requires begin + 2 ≤ end ≤ items().
+/// Ties resolve to the smallest p, making the procedure deterministic, and
+/// the result is bit-identical to a plain scan over every p.
 SplitResult best_split(const PrefixSums& sums, std::size_t begin, std::size_t end);
 
 }  // namespace dbs

@@ -20,9 +20,18 @@ std::uint64_t descending_key(double value) {
   return ~std::bit_cast<std::uint64_t>(value == 0.0 ? 0.0 : value);
 }
 
-/// Item ids 0..n−1 sorted by ascending `keys`, ties broken by id: the order
-/// std::stable_sort gives. Keys that already arrive in order (every
-/// multilevel coarse level's benefit ratios do) skip the sort.
+/// The benefit order's sort key of item `id`: its ratio f/z, descending.
+/// The sort and Database::rank_of() both take it from here.
+std::uint64_t benefit_key(std::span<const double> freqs, std::span<const double> sizes,
+                          std::size_t id) {
+  return descending_key(freqs[id] / sizes[id]);
+}
+
+/// Item ids 0..n−1 (n ≥ 1) sorted by ascending `key(id)`, ties broken by
+/// id: the order std::stable_sort gives. Keys are computed from the id
+/// wherever they are needed, so no key column is ever allocated. Keys that
+/// already arrive in order (every multilevel coarse level's benefit ratios
+/// do) skip the sort.
 ///
 /// Otherwise each id replaces the lowest bit_width(n − 1) bits of its key,
 /// and a stable LSD radix sort orders these one-word records by their
@@ -33,10 +42,16 @@ std::uint64_t descending_key(double value) {
 /// one run at a time; on a 10⁶-item Zipf catalogue that is 14 pairs.
 /// Digits are 11 bits wide at every n: a pass writes 2048 buckets, and the
 /// histograms of all passes take at most 48 KiB.
-std::vector<ItemId> sort_ids_by_key(const std::vector<std::uint64_t>& keys) {
-  const std::size_t n = keys.size();
+template <class KeyOf>
+std::vector<ItemId> sort_ids_by_key(std::size_t n, KeyOf key) {
   std::vector<ItemId> ids(n);
-  if (std::is_sorted(keys.begin(), keys.end())) {
+  std::size_t ascending = 1;
+  for (std::uint64_t previous = key(0); ascending < n; ++ascending) {
+    const std::uint64_t next = key(ascending);
+    if (next < previous) break;
+    previous = next;
+  }
+  if (ascending == n) {
     std::iota(ids.begin(), ids.end(), 0);
     return ids;
   }
@@ -50,7 +65,7 @@ std::vector<ItemId> sort_ids_by_key(const std::vector<std::uint64_t>& keys) {
   std::vector<std::uint32_t> counts(digits * buckets, 0);
   std::vector<std::uint64_t> records(n);
   for (std::size_t i = 0; i < n; ++i) {
-    records[i] = (keys[i] & ~id_mask) | i;
+    records[i] = (key(i) & ~id_mask) | i;
     for (int d = 0; d < digits; ++d) {
       ++counts[d * buckets + ((records[i] >> (id_bits + d * digit_bits)) & digit_mask)];
     }
@@ -69,8 +84,8 @@ std::vector<ItemId> sort_ids_by_key(const std::vector<std::uint64_t>& keys) {
   }
 
   const auto by_key = [&](std::uint64_t a, std::uint64_t b) {
-    const std::uint64_t key_a = keys[a & id_mask];
-    const std::uint64_t key_b = keys[b & id_mask];
+    const std::uint64_t key_a = key(a & id_mask);
+    const std::uint64_t key_b = key(b & id_mask);
     return key_a != key_b ? key_a < key_b : a < b;
   };
   for (std::size_t begin = 0; begin < n;) {
@@ -125,24 +140,37 @@ void Database::build() {
 
   // The benefit order and its rank-major columns are part of the catalogue:
   // every scheduler run shares this one sort instead of re-deriving it. The
-  // ratio f/z is only the sort key; it lives in this block, so its memory is
-  // free again before the rank-major columns allocate theirs.
+  // ratio f/z is only the sort key, computed from the columns wherever the
+  // sort reads it. Each rank-major column is gathered in a pass of its own,
+  // so a pass reads from one id column.
   weighted_size_ = 0.0;
-  {
-    std::vector<std::uint64_t> keys(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      freq_[i] /= freq_sum;
-      weighted_size_ += freq_[i] * size_[i];
-      keys[i] = descending_key(freq_[i] / size_[i]);
-    }
-    benefit_order_ = sort_ids_by_key(keys);
+  for (std::size_t i = 0; i < n; ++i) {
+    freq_[i] /= freq_sum;
+    weighted_size_ += freq_[i] * size_[i];
   }
+  benefit_order_ = sort_ids_by_key(
+      n, [this](std::size_t id) { return benefit_key(freq_, size_, id); });
   benefit_freq_.resize(n);
-  benefit_size_.resize(n);
   for (std::size_t rank = 0; rank < n; ++rank) {
     benefit_freq_[rank] = freq_[benefit_order_[rank]];
+  }
+  benefit_size_.resize(n);
+  for (std::size_t rank = 0; rank < n; ++rank) {
     benefit_size_[rank] = size_[benefit_order_[rank]];
   }
+}
+
+std::size_t Database::rank_of(ItemId id) const {
+  DBS_CHECK_MSG(id < freq_.size(), "item id " << id << " out of range");
+  // The sort lists the ids by ascending (benefit key, id), a total order,
+  // so the ids before `id` are a prefix of benefit_order().
+  const std::uint64_t key = benefit_key(freq_, size_, id);
+  const auto before = [&](ItemId other) {
+    const std::uint64_t other_key = benefit_key(freq_, size_, other);
+    return other_key != key ? other_key < key : other < id;
+  };
+  return static_cast<std::size_t>(std::ranges::partition_point(benefit_order_, before) -
+                                  benefit_order_.begin());
 }
 
 Item Database::item(ItemId id) const {
@@ -160,9 +188,8 @@ std::vector<Item> Database::items() const {
 }
 
 std::vector<ItemId> Database::ids_by_freq_desc() const {
-  std::vector<std::uint64_t> keys(freq_.size());
-  std::transform(freq_.begin(), freq_.end(), keys.begin(), descending_key);
-  return sort_ids_by_key(keys);
+  return sort_ids_by_key(freq_.size(),
+                         [this](std::size_t id) { return descending_key(freq_[id]); });
 }
 
 }  // namespace dbs

@@ -48,12 +48,13 @@ TEST(Drp, GroupsAreContiguousInBrOrder) {
   }
   EXPECT_EQ(expected_begin, db.size());
   // And the allocation maps each slice to one distinct channel.
+  const std::vector<ItemId>& order = db.benefit_order();
   std::set<ChannelId> seen;
   for (std::size_t gi = 0; gi < r.groups.size(); ++gi) {
-    const ChannelId c = r.allocation.channel_of(r.order[r.groups[gi].begin]);
+    const ChannelId c = r.allocation.channel_of(order[r.groups[gi].begin]);
     EXPECT_TRUE(seen.insert(c).second);
     for (std::size_t i = r.groups[gi].begin; i < r.groups[gi].end; ++i) {
-      EXPECT_EQ(r.allocation.channel_of(r.order[i]), c);
+      EXPECT_EQ(r.allocation.channel_of(order[i]), c);
     }
   }
 }

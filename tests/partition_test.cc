@@ -2,11 +2,57 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "common/check.h"
+#include "common/rng.h"
 #include "workload/generator.h"
 
 namespace dbs {
 namespace {
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+// Procedure Partition as a plain scan over every split point, the first
+// strict improvement winning: the result best_split must reproduce bit for
+// bit, however few of the points it evaluates.
+SplitResult linear_split(const PrefixSums& sums, std::size_t begin, std::size_t end) {
+  const double* pf = sums.freq.data();
+  const double* pz = sums.size.data();
+  const double f0 = pf[begin], z0 = pz[begin];
+  const double f1 = pf[end], z1 = pz[end];
+  SplitResult best;
+  double best_total = 0.0;
+  bool first = true;
+  for (std::size_t p = begin + 1; p < end; ++p) {
+    const double left = (pf[p] - f0) * (pz[p] - z0);
+    const double right = (f1 - pf[p]) * (z1 - pz[p]);
+    const double total = left + right;
+    if (first || total < best_total) {
+      first = false;
+      best_total = total;
+      best.split = p;
+      best.left_cost = left;
+      best.right_cost = right;
+    }
+  }
+  return best;
+}
+
+void expect_matches_linear(const PrefixSums& sums, std::size_t begin, std::size_t end,
+                           const std::string& context) {
+  const SplitResult want = linear_split(sums, begin, end);
+  const SplitResult got = best_split(sums, begin, end);
+  const std::string slice =
+      context + " [" + std::to_string(begin) + ", " + std::to_string(end) + ")";
+  EXPECT_EQ(got.split, want.split) << slice;
+  EXPECT_EQ(bits(got.left_cost), bits(want.left_cost)) << slice;
+  EXPECT_EQ(bits(got.right_cost), bits(want.right_cost)) << slice;
+}
 
 TEST(PrefixSums, MatchesDirectSums) {
   const Database db({2.0, 4.0, 8.0}, {0.5, 0.3, 0.2});
@@ -126,6 +172,83 @@ TEST(BestSplit, RejectsUnsplittableSlices) {
   EXPECT_THROW(best_split(sums, 0, 1), ContractViolation);
   EXPECT_THROW(best_split(sums, 1, 1), ContractViolation);
   EXPECT_THROW(best_split(sums, 0, 3), ContractViolation);
+  // A reversed slice is no slice: end − begin must not wrap around.
+  const PrefixSums ten(std::vector<double>(10, 0.1), std::vector<double>(10, 1.0));
+  EXPECT_THROW(best_split(ten, 5, 3), ContractViolation);
+  EXPECT_THROW(best_split(ten, 9, 8), ContractViolation);
+}
+
+TEST(BestSplit, MatchesThePlainScanOnGeneratedCatalogues) {
+  // Whole ranges, then slices from two points to about twenty 256-point
+  // blocks long, most ending inside a block, and slices at random.
+  Rng rng(17);
+  for (const std::size_t n : {10000, 200000}) {
+    const Database db = generate_database({.items = n, .diversity = 2.0, .seed = 3});
+    const PrefixSums sums(db.benefit_freqs(), db.benefit_sizes());
+    const std::string context = "generated, n=" + std::to_string(n);
+    expect_matches_linear(sums, 0, n, context);
+    expect_matches_linear(sums, 1, n - 1, context);
+    for (const std::size_t len : {2, 3, 257, 1023, 1024, 1025, 1026, 1100, 5003}) {
+      expect_matches_linear(sums, 100, 100 + len, context);
+      expect_matches_linear(sums, n - len, n, context);
+    }
+    for (int trial = 0; trial < 40; ++trial) {
+      std::size_t a = rng.below(n + 1);
+      std::size_t b = rng.below(n + 1);
+      if (a > b) std::swap(a, b);
+      if (b - a >= 2) expect_matches_linear(sums, a, b, context);
+    }
+  }
+}
+
+TEST(BestSplit, EqualTotalsGoToTheSmallestSplitAcrossBlocks) {
+  // Integer columns, so every sum and product is exact: a run of 600
+  // positive items, 700 zero-frequency items, then the first run mirrored.
+  // At any split point inside the zero run the two sides carry the same
+  // F, so moving a zero-frequency item across leaves the total unchanged:
+  // 701 split points, over several 256-point blocks, share the minimum.
+  const std::size_t run = 600;
+  const std::size_t zeros = 700;
+  std::vector<double> freqs;
+  std::vector<double> sizes;
+  for (std::size_t i = 0; i < run; ++i) {
+    freqs.push_back(static_cast<double>(1 + i % 3));
+    sizes.push_back(static_cast<double>(1 + i % 4));
+  }
+  freqs.insert(freqs.end(), zeros, 0.0);
+  sizes.insert(sizes.end(), zeros, 1.0);
+  for (std::size_t i = run; i-- > 0;) {
+    freqs.push_back(freqs[i]);
+    sizes.push_back(sizes[i]);
+  }
+  const PrefixSums sums(freqs, sizes);
+  const std::size_t n = freqs.size();
+
+  const SplitResult plain = linear_split(sums, 0, n);
+  std::size_t at_minimum = 0;
+  for (std::size_t p = 1; p < n; ++p) {
+    at_minimum += sums.cost_of(0, p) + sums.cost_of(p, n) == plain.total();
+  }
+  ASSERT_EQ(at_minimum, zeros + 1);
+  EXPECT_EQ(plain.split, run);
+  expect_matches_linear(sums, 0, n, "mirrored runs");
+  for (const std::size_t begin : {1, 7, 255, 256, 300}) {
+    expect_matches_linear(sums, begin, n - begin, "mirrored runs");
+  }
+}
+
+TEST(BestSplit, AllZeroFrequenciesSplitRightAfterTheFirstItem) {
+  // Every split point costs exactly 0, so no block can be pruned and the
+  // first point wins.
+  const std::size_t n = 3000;
+  std::vector<double> sizes(n);
+  for (std::size_t i = 0; i < n; ++i) sizes[i] = static_cast<double>(1 + i % 5);
+  const PrefixSums sums(std::vector<double>(n, 0.0), sizes);
+  for (const auto& [begin, end] : std::vector<std::pair<std::size_t, std::size_t>>{
+           {0, n}, {1, n - 1}, {257, 2500}, {1000, 1002}}) {
+    EXPECT_EQ(best_split(sums, begin, end).split, begin + 1);
+    expect_matches_linear(sums, begin, end, "all-zero frequencies");
+  }
 }
 
 }  // namespace
