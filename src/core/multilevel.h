@@ -12,6 +12,10 @@
 // inherits its pair's channel and runs CDS to convergence, so the result is a
 // single-move local optimum, like run_drp_cds's. Level 0 starts that close to
 // one, so it needs several times fewer moves than CDS from DRP's split.
+//
+// The hierarchy is implied by ranks: coarse item j is ranks 2j and 2j + 1 of
+// the finer level, so the finer item at rank i inherits coarse item i / 2's
+// channel, and the levels are plain Databases with no parent map.
 #pragma once
 
 #include <cstddef>

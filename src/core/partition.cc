@@ -17,7 +17,6 @@ SplitResult best_split(const PrefixSums& sums, std::size_t begin, std::size_t en
   DBS_CHECK_MSG(end <= sums.freq.size() - 1, "slice end out of range");
   DBS_CHECK_MSG(begin + 2 <= end, "cannot split a group of fewer than two items");
   DBS_OBS_COUNTER_INC("core.partition.split_searches");
-  DBS_OBS_COUNTER_ADD("core.partition.split_candidates", end - begin - 1);
 
   // Hoist the slice endpoints so the scan touches only the two contiguous
   // prefix columns. The arithmetic is term-for-term identical to
@@ -51,13 +50,17 @@ SplitResult best_split(const PrefixSums& sums, std::size_t begin, std::size_t en
   // at least left(a) + right(b − 1): a block whose bound exceeds the best
   // total so far holds neither a better split nor an equal one, and is
   // skipped. Seeding the best with every block's first point makes that
-  // bound bite from the first block on.
-  for (std::size_t a = first; a < end; a += kBlockPoints) consider(a);
+  // bound bite from the first block on. `priced` tallies the split points
+  // priced: every block's first point, then the rest of each scanned block.
+  std::size_t priced = 0;
+  for (std::size_t a = first; a < end; a += kBlockPoints, ++priced) consider(a);
   for (std::size_t a = first; a < end; a += kBlockPoints) {
     const std::size_t b = std::min(a + kBlockPoints, end);
     if (left(a) + right(b - 1) > best_total) continue;
+    priced += b - a - 1;
     for (std::size_t p = a + 1; p < b; ++p) consider(p);
   }
+  DBS_OBS_COUNTER_ADD("core.partition.split_candidates", priced);
   return best;
 }
 

@@ -27,11 +27,12 @@ std::uint64_t benefit_key(std::span<const double> freqs, std::span<const double>
   return descending_key(freqs[id] / sizes[id]);
 }
 
-/// Item ids 0..n−1 (n ≥ 1) sorted by ascending `key(id)`, ties broken by
-/// id: the order std::stable_sort gives. Keys are computed from the id
-/// wherever they are needed, so no key column is ever allocated. Keys that
-/// already arrive in order (every multilevel coarse level's benefit ratios
-/// do) skip the sort.
+/// Fills `ids` with the item ids 0..n−1 (n ≥ 1) sorted by ascending
+/// `key(id)`, ties broken by id: the order std::stable_sort gives. Keys are
+/// computed from the id wherever they are needed, so no key column is ever
+/// allocated. Returns whether it had to sort: keys that already arrive in
+/// order (every multilevel coarse level's benefit ratios do) leave the
+/// identity.
 ///
 /// Otherwise each id replaces the lowest bit_width(n − 1) bits of its key,
 /// and a stable LSD radix sort orders these one-word records by their
@@ -43,8 +44,8 @@ std::uint64_t benefit_key(std::span<const double> freqs, std::span<const double>
 /// Digits are 11 bits wide at every n: a pass writes 2048 buckets, and the
 /// histograms of all passes take at most 48 KiB.
 template <class KeyOf>
-std::vector<ItemId> sort_ids_by_key(std::size_t n, KeyOf key) {
-  std::vector<ItemId> ids(n);
+bool sort_ids_by_key(std::size_t n, KeyOf key, std::vector<ItemId>& ids) {
+  ids.resize(n);
   std::size_t ascending = 1;
   for (std::uint64_t previous = key(0); ascending < n; ++ascending) {
     const std::uint64_t next = key(ascending);
@@ -53,7 +54,7 @@ std::vector<ItemId> sort_ids_by_key(std::size_t n, KeyOf key) {
   }
   if (ascending == n) {
     std::iota(ids.begin(), ids.end(), 0);
-    return ids;
+    return false;
   }
 
   const int id_bits = static_cast<int>(std::bit_width(n - 1));
@@ -94,35 +95,20 @@ std::vector<ItemId> sort_ids_by_key(std::size_t n, KeyOf key) {
     if (end - begin > 1) std::sort(records.begin() + begin, records.begin() + end, by_key);
     for (; begin < end; ++begin) ids[begin] = static_cast<ItemId>(records[begin] & id_mask);
   }
-  return ids;
+  return true;
 }
 
 }  // namespace
 
-Database::Database(std::vector<Item> items) {
-  freq_.reserve(items.size());
-  size_.reserve(items.size());
-  for (const Item& it : items) {
-    size_.push_back(it.size);
-    freq_.push_back(it.freq);
-  }
-  build();
-}
-
-Database::Database(const std::vector<double>& sizes, const std::vector<double>& freqs)
-    : freq_(freqs), size_(sizes) {
-  DBS_CHECK_MSG(sizes.size() == freqs.size(),
-                "sizes (" << sizes.size() << ") and freqs (" << freqs.size()
-                          << ") must be parallel");
-  build();
-}
-
-void Database::build() {
+Database::Database(std::vector<double> sizes, std::vector<double> freqs)
+    : freq_(std::move(freqs)), size_(std::move(sizes)) {
   DBS_OBS_SPAN("model.database.build");
+  DBS_CHECK_MSG(size_.size() == freq_.size(),
+                "sizes (" << size_.size() << ") and freqs (" << freq_.size()
+                          << ") must be parallel");
   DBS_CHECK_MSG(!freq_.empty(), "a broadcast database needs at least one item");
   const std::size_t n = freq_.size();
   double freq_sum = 0.0;
-  total_size_ = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
     DBS_CHECK_MSG(std::isfinite(size_[i]) && size_[i] > 0.0,
                   "item " << i << " has non-finite or non-positive size " << size_[i]);
@@ -141,15 +127,15 @@ void Database::build() {
   // The benefit order and its rank-major columns are part of the catalogue:
   // every scheduler run shares this one sort instead of re-deriving it. The
   // ratio f/z is only the sort key, computed from the columns wherever the
-  // sort reads it. Each rank-major column is gathered in a pass of its own,
-  // so a pass reads from one id column.
-  weighted_size_ = 0.0;
+  // sort reads it. Input already in order is its own rank-major copy.
+  // Otherwise each rank-major column is gathered in a pass of its own, so a
+  // pass reads from one id column.
   for (std::size_t i = 0; i < n; ++i) {
     freq_[i] /= freq_sum;
     weighted_size_ += freq_[i] * size_[i];
   }
-  benefit_order_ = sort_ids_by_key(
-      n, [this](std::size_t id) { return benefit_key(freq_, size_, id); });
+  const auto key = [this](std::size_t id) { return benefit_key(freq_, size_, id); };
+  if (!sort_ids_by_key(n, key, benefit_order_)) return;
   benefit_freq_.resize(n);
   for (std::size_t rank = 0; rank < n; ++rank) {
     benefit_freq_[rank] = freq_[benefit_order_[rank]];
@@ -188,8 +174,10 @@ std::vector<Item> Database::items() const {
 }
 
 std::vector<ItemId> Database::ids_by_freq_desc() const {
-  return sort_ids_by_key(freq_.size(),
-                         [this](std::size_t id) { return descending_key(freq_[id]); });
+  const auto key = [this](std::size_t id) { return descending_key(freq_[id]); };
+  std::vector<ItemId> ids;
+  sort_ids_by_key(freq_.size(), key, ids);
+  return ids;
 }
 
 }  // namespace dbs

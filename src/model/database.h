@@ -1,10 +1,12 @@
 // The broadcast database D: the full catalogue of items to disseminate.
 //
-// Columnar core (PR 7): the catalogue is stored as structure-of-arrays —
-// contiguous `f` and `z` columns — so the schedulers' inner loops stream
-// over cache-line-dense memory instead of gathering fields out of an array
-// of structs. The same two columns are kept a second time in benefit order,
-// the order DRP, CDS and the multilevel coarsening walk. The row view
+// The catalogue is stored as structure-of-arrays — contiguous `f` and `z`
+// columns — so the schedulers' inner loops stream over cache-line-dense
+// memory instead of gathering fields out of an array of structs. The same
+// two columns are also read in benefit order, the order DRP, CDS and the
+// multilevel coarsening walk: a catalogue whose ratios arrive out of order
+// keeps a second, rank-major copy of them; one that arrives in order (every
+// multilevel coarse level does) is its own rank-major copy. The row view
 // (`Item`) is materialized on demand for IO and tests; see
 // docs/ARCHITECTURE.md §3 for the layout contract.
 #pragma once
@@ -34,15 +36,15 @@ namespace dbs {
 /// (DRP's input order) is computed once at construction, and
 /// benefit_freqs() and benefit_sizes() hold the same two columns by rank,
 /// an item's position in that order — every scheduler run streams those
-/// instead of re-sorting or gathering by id.
+/// instead of re-sorting or gathering by id. When the ratios arrive in
+/// order, rank equals id and those are the id columns themselves.
 class Database {
  public:
-  /// \brief Builds a database from (size, freq) pairs; ids are assigned
-  /// 0..N-1 in input order and frequencies are normalized.
-  explicit Database(std::vector<Item> items);
-
-  /// \brief Convenience constructor from parallel arrays.
-  Database(const std::vector<double>& sizes, const std::vector<double>& freqs);
+  /// \brief Builds a database from the parallel columns z and f, taking
+  /// ownership of both: ids are assigned 0..N-1 in input order and the
+  /// frequencies are normalized in place. Callers that are done with their
+  /// vectors move them in; an lvalue argument is copied once.
+  Database(std::vector<double> sizes, std::vector<double> freqs);
 
   /// \brief Number of items N.
   std::size_t size() const { return freq_.size(); }
@@ -76,12 +78,18 @@ class Database {
   std::size_t rank_of(ItemId id) const;
 
   /// \brief The frequency column by rank: benefit_freqs()[i] is
-  /// freqs()[benefit_order()[i]], bit for bit.
-  std::span<const double> benefit_freqs() const { return benefit_freq_; }
+  /// freqs()[benefit_order()[i]], bit for bit. Input whose ratios arrive
+  /// in order keeps no copy: this is then freqs() itself.
+  std::span<const double> benefit_freqs() const {
+    return benefit_freq_.empty() ? freq_ : benefit_freq_;
+  }
 
   /// \brief The size column by rank: benefit_sizes()[i] is
-  /// sizes()[benefit_order()[i]], bit for bit.
-  std::span<const double> benefit_sizes() const { return benefit_size_; }
+  /// sizes()[benefit_order()[i]], bit for bit. Input whose ratios arrive
+  /// in order keeps no copy: this is then sizes() itself.
+  std::span<const double> benefit_sizes() const {
+    return benefit_size_.empty() ? size_ : benefit_size_;
+  }
 
   /// \brief Item ids sorted by access frequency, descending (the
   /// conventional environment's order, used by VF^K). Deterministic
@@ -89,17 +97,13 @@ class Database {
   std::vector<ItemId> ids_by_freq_desc() const;
 
  private:
-  /// Validates and normalizes the id columns, then sorts the benefit order
-  /// and derives the rank-major columns.
-  void build();
-
   std::vector<double> freq_;  // f_j, normalized to Σ f = 1
   std::vector<double> size_;  // z_j
   double total_size_ = 0.0;
   double weighted_size_ = 0.0;
   std::vector<ItemId> benefit_order_;
-  std::vector<double> benefit_freq_;  // f by rank
-  std::vector<double> benefit_size_;  // z by rank
+  std::vector<double> benefit_freq_;  // f by rank; empty when rank == id
+  std::vector<double> benefit_size_;  // z by rank; empty when rank == id
 };
 
 }  // namespace dbs

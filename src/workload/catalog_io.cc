@@ -6,6 +6,7 @@
 #include <limits>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
 namespace dbs {
 namespace {
@@ -79,7 +80,7 @@ Catalog load_catalog(std::istream& in) {
     names.push_back(fields.size() == 3 ? fields[2] : std::string());
   }
   if (sizes.empty()) throw std::runtime_error("catalog: no items found");
-  return Catalog{Database(sizes, freqs), std::move(names)};
+  return Catalog{Database(std::move(sizes), std::move(freqs)), std::move(names)};
 }
 
 Catalog load_catalog_file(const std::string& path) {

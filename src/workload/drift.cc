@@ -1,5 +1,6 @@
 #include "workload/drift.h"
 
+#include <utility>
 #include <vector>
 
 #include "common/check.h"
@@ -8,14 +9,7 @@ namespace dbs {
 
 Database drift_frequencies(const Database& db, Rng& rng, const DriftConfig& config) {
   DBS_CHECK(config.intensity >= 0.0 && config.intensity <= 1.0);
-  std::vector<double> sizes;
-  std::vector<double> freqs;
-  sizes.reserve(db.size());
-  freqs.reserve(db.size());
-  for (const Item& it : db.items()) {
-    sizes.push_back(it.size);
-    freqs.push_back(it.freq);
-  }
+  std::vector<double> freqs(db.freqs().begin(), db.freqs().end());
   for (std::size_t transfer = 0; transfer < config.transfers; ++transfer) {
     const std::size_t from = static_cast<std::size_t>(rng.below(db.size()));
     const std::size_t to = static_cast<std::size_t>(rng.below(db.size()));
@@ -23,7 +17,8 @@ Database drift_frequencies(const Database& db, Rng& rng, const DriftConfig& conf
     freqs[from] -= moved;
     freqs[to] += moved;
   }
-  return Database(sizes, freqs);
+  return Database(std::vector<double>(db.sizes().begin(), db.sizes().end()),
+                  std::move(freqs));
 }
 
 }  // namespace dbs

@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
+#include <utility>
+#include <vector>
 
 #include "common/check.h"
 #include "common/distributions.h"
@@ -55,24 +56,21 @@ Database generate_database(const WorkloadConfig& config) {
   DBS_CHECK_MSG(config.skewness >= 0.0, "Zipf skewness must be non-negative");
   Rng rng(config.seed);
 
-  const std::vector<double> freqs = zipf_probabilities(config.items, config.skewness);
-
-  std::vector<Item> items(config.items);
-  for (std::size_t i = 0; i < config.items; ++i) {
-    items[i].freq = freqs[i];
-    items[i].size = sample_item_size_model(rng, config);
-  }
+  std::vector<double> freqs = zipf_probabilities(config.items, config.skewness);
+  std::vector<double> sizes(config.items);
+  for (double& size : sizes) size = sample_item_size_model(rng, config);
 
   if (config.shuffle_ranks) {
-    // Fisher–Yates over the items so that frequency rank is independent of
-    // input position (Database reassigns ids afterwards anyway).
-    for (std::size_t i = items.size(); i > 1; --i) {
+    // Fisher–Yates over the items, swapping both columns with the same draw,
+    // so that frequency rank is independent of input position.
+    for (std::size_t i = config.items; i > 1; --i) {
       const std::size_t j = static_cast<std::size_t>(rng.below(i));
-      std::swap(items[i - 1], items[j]);
+      std::swap(freqs[i - 1], freqs[j]);
+      std::swap(sizes[i - 1], sizes[j]);
     }
   }
 
-  return Database(std::move(items));
+  return Database(std::move(sizes), std::move(freqs));
 }
 
 }  // namespace dbs

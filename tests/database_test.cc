@@ -9,6 +9,8 @@
 #include <limits>
 #include <numeric>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common/check.h"
 #include "common/rng.h"
@@ -46,7 +48,7 @@ TEST(Database, TotalAndWeightedSize) {
 }
 
 TEST(Database, RejectsEmpty) {
-  EXPECT_THROW(Database(std::vector<Item>{}), ContractViolation);
+  EXPECT_THROW(Database({}, {}), ContractViolation);
 }
 
 TEST(Database, RejectsNonPositiveSize) {
@@ -89,6 +91,16 @@ TEST(Database, RejectsTotalsThatOverflow) {
 
 TEST(Database, RejectsMismatchedArrays) {
   EXPECT_THROW(Database({1.0, 2.0}, {1.0}), ContractViolation);
+}
+
+TEST(Database, KeepsTheBuffersOfMovedInColumns) {
+  std::vector<double> sizes = {1.0, 2.0, 4.0};
+  std::vector<double> freqs = {0.2, 0.5, 0.3};
+  const double* size_buffer = sizes.data();
+  const double* freq_buffer = freqs.data();
+  const Database db(std::move(sizes), std::move(freqs));
+  EXPECT_EQ(db.sizes().data(), size_buffer);
+  EXPECT_EQ(db.freqs().data(), freq_buffer);
 }
 
 TEST(Database, ItemLookupOutOfRangeThrows) {
@@ -148,6 +160,13 @@ void expect_matches_reference(const std::vector<double>& sizes,
     mismatches += bits(db.benefit_sizes()[rank]) != bits(db.sizes()[order[rank]]);
   }
   EXPECT_EQ(mismatches, 0u) << context << ": rank-major columns differ from id columns";
+  // Input already in benefit order is its own rank-major copy; any other
+  // keeps a separate one.
+  std::vector<ItemId> identity(db.size());
+  std::iota(identity.begin(), identity.end(), 0);
+  const bool in_order = order == identity;
+  EXPECT_EQ(db.benefit_freqs().data() == db.freqs().data(), in_order) << context;
+  EXPECT_EQ(db.benefit_sizes().data() == db.sizes().data(), in_order) << context;
   std::size_t misplaced = 0;
   for (ItemId id = 0; id < db.size(); ++id) {
     const std::size_t rank = db.rank_of(id);

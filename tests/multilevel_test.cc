@@ -2,11 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "baselines/brute_force.h"
 #include "common/check.h"
+#include "core/drp.h"
 #include "core/drp_cds.h"
 #include "core/kk_partition.h"
 #include "workload/generator.h"
@@ -106,6 +111,96 @@ TEST(Multilevel, MeanGapNoWorseThanDrpCdsAtTheMidpoints) {
 
 TEST(Multilevel, MeanGapNoWorseThanDrpCdsAtScale2000) {
   expect_mean_gap_no_worse(2000, 10, 7000, 50);
+}
+
+// Reference V-cycle with an explicit hierarchy: each coarse level keeps
+// parent[x], the coarse item holding the finer level's item x, and the
+// projection reads it by id. Its pair sums gather by benefit_order(), so it
+// reads no rank-major column. run_multilevel must reproduce it bit for bit.
+struct ParentLevel {
+  Database db;
+  std::vector<ItemId> parent;
+};
+
+ParentLevel coarsen_with_parent(const Database& fine) {
+  const std::vector<ItemId>& order = fine.benefit_order();
+  const std::size_t pairs = (order.size() + 1) / 2;
+  std::vector<double> freqs(pairs, 0.0);
+  std::vector<double> sizes(pairs, 0.0);
+  std::vector<ItemId> parent(order.size());
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    freqs[i / 2] += fine.freqs()[order[i]];
+    sizes[i / 2] += fine.sizes()[order[i]];
+    parent[order[i]] = static_cast<ItemId>(i / 2);
+  }
+  return {Database(sizes, freqs), std::move(parent)};
+}
+
+struct ParentReference {
+  MultilevelResult result;
+  std::size_t unsorted_levels = 0;  ///< coarse levels that arrived out of order
+};
+
+ParentReference run_parent_reference(const Database& db, ChannelId channels) {
+  std::vector<ParentLevel> coarse;
+  const Database* top = &db;
+  while (top->size() > 2 * static_cast<std::size_t>(channels)) {
+    coarse.push_back(coarsen_with_parent(*top));
+    top = &coarse.back().db;
+  }
+  ParentReference ref{{run_drp(*top, channels).allocation, 0.0, coarse.size() + 1, {}}};
+  ref.result.cds = run_cds(ref.result.allocation);
+  for (std::size_t l = coarse.size(); l-- > 0;) {
+    const Database& fine = l == 0 ? db : coarse[l - 1].db;
+    const std::vector<ChannelId>& above = ref.result.allocation.assignment();
+    std::vector<ChannelId> projected(fine.size());
+    for (ItemId x = 0; x < projected.size(); ++x) projected[x] = above[coarse[l].parent[x]];
+    ref.result.allocation = Allocation(fine, channels, std::move(projected));
+    ref.result.cds = run_cds(ref.result.allocation);
+  }
+  ref.result.final_cost = ref.result.allocation.cost();
+  for (const ParentLevel& level : coarse) {
+    ref.unsorted_levels += !std::ranges::is_sorted(level.db.benefit_order());
+  }
+  return ref;
+}
+
+/// Runs both V-cycles on `db` and returns how many coarse levels arrived
+/// out of benefit order.
+std::size_t expect_matches_parent_reference(const Database& db, ChannelId channels,
+                                            const std::string& context) {
+  const MultilevelResult got = run_multilevel(db, channels);
+  const ParentReference want = run_parent_reference(db, channels);
+  EXPECT_EQ(got.allocation.assignment(), want.result.allocation.assignment()) << context;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got.final_cost),
+            std::bit_cast<std::uint64_t>(want.result.final_cost))
+      << context;
+  EXPECT_EQ(got.levels, want.result.levels) << context;
+  EXPECT_EQ(got.cds.iterations, want.result.cds.iterations) << context;
+  EXPECT_EQ(got.cds.moves_evaluated, want.result.cds.moves_evaluated) << context;
+  EXPECT_EQ(got.cds.index_repairs, want.result.cds.index_repairs) << context;
+  return want.unsorted_levels;
+}
+
+TEST(Multilevel, MatchesTheParentColumnReference) {
+  struct Case {
+    std::size_t items;
+    ChannelId channels;
+  };
+  std::uint64_t seed = 40;
+  for (const Case& c : {Case{13, 2}, Case{21, 6}, Case{60, 3}, Case{500, 8},
+                        Case{2000, 10}, Case{3001, 7}}) {
+    expect_matches_parent_reference(family_database(c.items, ++seed), c.channels,
+                                    "N=" + std::to_string(c.items) +
+                                        " K=" + std::to_string(c.channels));
+  }
+
+  // Equal benefit ratios (f = z): the ratios differ only by rounding, so
+  // the coarse levels arrive out of order and the projection must follow
+  // each level's sorted benefit order.
+  const Database sizes_only = family_database(2000, 47);
+  const std::vector<double> sizes(sizes_only.sizes().begin(), sizes_only.sizes().end());
+  EXPECT_GE(expect_matches_parent_reference(Database(sizes, sizes), 10, "f = z"), 1u);
 }
 
 TEST(Multilevel, RejectsBadChannelCounts) {

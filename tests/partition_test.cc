@@ -10,6 +10,7 @@
 
 #include "common/check.h"
 #include "common/rng.h"
+#include "obs/obs.h"  // for the DBS_OBS_ENABLED default
 #include "workload/generator.h"
 
 namespace dbs {
@@ -250,6 +251,30 @@ TEST(BestSplit, AllZeroFrequenciesSplitRightAfterTheFirstItem) {
     expect_matches_linear(sums, begin, end, "all-zero frequencies");
   }
 }
+
+#if DBS_OBS_ENABLED
+std::uint64_t split_candidates() {
+  return obs::MetricsRegistry::global().counter("core.partition.split_candidates").value();
+}
+
+TEST(BestSplit, CountsTheSplitPointsItPrices) {
+  // All-zero frequencies: no block can be pruned, so every split point of
+  // the slice is priced.
+  const std::size_t n = 3000;
+  const PrefixSums zeros(std::vector<double>(n, 0.0), std::vector<double>(n, 1.0));
+  std::uint64_t before = split_candidates();
+  best_split(zeros, 7, n - 2);
+  EXPECT_EQ(split_candidates() - before, (n - 2) - 7 - 1);
+
+  // On a generated catalogue the pruned scan prices fewer.
+  const std::size_t m = 100000;
+  const Database db = generate_database({.items = m, .diversity = 2.0, .seed = 3});
+  const PrefixSums sums(db.benefit_freqs(), db.benefit_sizes());
+  before = split_candidates();
+  best_split(sums, 0, m);
+  EXPECT_LT(split_candidates() - before, m - 1);
+}
+#endif
 
 }  // namespace
 }  // namespace dbs

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "core/drp_cds.h"
+#include "core/multilevel.h"
 #include "obs/obs.h"  // for the DBS_OBS_ENABLED default
 #include "obs/trace.h"
 #include "workload/generator.h"
@@ -97,6 +98,34 @@ TEST_F(TraceFormatTest, TimestampsAreNonNegativeAndOrderedWithinAThread) {
     EXPECT_GE(event.dur_us, 0.0);
     EXPECT_GE(event.tid, 1u);
   }
+}
+
+TEST_F(TraceFormatTest, MultilevelSpansSplitCoarseningFromRefinement) {
+  const Database db = generate_database({.items = 2000, .seed = 13});
+  [[maybe_unused]] const MultilevelResult r = run_multilevel(db, 10);
+  const std::vector<obs::TraceEvent> events = obs::Tracer::global().events();
+  // Spans are recorded as they close, so an event's index orders the ends.
+  std::vector<std::size_t> runs, coarsens, levels;
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    if (events[i].name == "core.ml.run") runs.push_back(i);
+    if (events[i].name == "core.ml.coarsen") coarsens.push_back(i);
+    if (events[i].name == "core.ml.level") levels.push_back(i);
+  }
+#if DBS_OBS_ENABLED
+  ASSERT_EQ(runs.size(), 1u);
+  ASSERT_EQ(coarsens.size(), 1u);
+  ASSERT_EQ(levels.size(), r.levels);
+  ASSERT_GT(r.levels, 1u);
+  const obs::TraceEvent& coarsen = events[coarsens[0]];
+  EXPECT_GE(coarsen.ts_us, events[runs[0]].ts_us);
+  EXPECT_LT(coarsens[0], runs[0]);
+  for (const std::size_t level : levels) {
+    EXPECT_LT(coarsens[0], level);
+    EXPECT_GE(events[level].ts_us, coarsen.ts_us);
+  }
+#else
+  EXPECT_TRUE(runs.empty() && coarsens.empty() && levels.empty());
+#endif
 }
 
 TEST_F(TraceFormatTest, WritesLoadableFileToDisk) {
