@@ -13,9 +13,8 @@ namespace {
 
 /// First-improvement CDS: rescan moves in (item, channel) order from the
 /// start and apply the first one whose Eq. 4 gain exceeds run_cds's
-/// min_gain, until a full scan finds none. Counts every gain evaluated.
+/// kCdsMinGain, until a full scan finds none. Counts every gain evaluated.
 CdsStats run_first_improvement(Allocation& alloc) {
-  const double min_gain = CdsOptions{}.min_gain;
   CdsStats stats;
   stats.initial_cost = alloc.cost();
   const ChannelId k = alloc.channels();
@@ -26,7 +25,7 @@ CdsStats run_first_improvement(Allocation& alloc) {
       for (ChannelId q = 0; q < k; ++q) {
         if (q == p) continue;
         ++stats.moves_evaluated;
-        if (alloc.move_gain(x, q) > min_gain) {
+        if (alloc.move_gain(x, q) > kCdsMinGain) {
           alloc.move(x, q);
           ++stats.iterations;
           moved = true;

@@ -64,10 +64,8 @@ PortfolioResult plan(const Database& db, ChannelId channels, double deadline_ms,
       case PortfolioRacer::kKkCds: {
         CdsOptions opts = options.kk_cds;
         opts.deadline = deadline;
-        RepairResult result = repair_assignment(
-            db, channels, kk_seed_allocation(db, channels).assignment(), opts);
-        slot.completed = result.cds.converged;
-        slot.allocation.emplace(std::move(result.allocation));
+        slot.allocation.emplace(kk_seed_allocation(db, channels));
+        slot.completed = run_cds(*slot.allocation, opts).converged;
         break;
       }
       case PortfolioRacer::kGopt: {

@@ -1,22 +1,22 @@
 #include "baselines/ordered_dp.h"
 
 #include <limits>
-#include <utility>
 
 #include "common/check.h"
-#include "core/partition.h"
 
 namespace dbs {
 
-Allocation ordered_dp_optimal(const Database& db, ChannelId channels,
-                              ItemOrdering ordering) {
-  const std::size_t n = db.size();
+std::vector<ChannelId> contiguous_optimum(std::span<const ItemId> order,
+                                          const PrefixSums& sums, ChannelId channels) {
+  const std::size_t n = order.size();
   DBS_CHECK(channels >= 1);
   DBS_CHECK_MSG(channels <= n, "cannot fill more channels than items");
+  DBS_CHECK_MSG(sums.items() == n,
+                "prefix sums cover " << sums.items() << " of " << n << " items");
 
-  const std::vector<ItemId> order = ordered_ids(db, ordering);
-  const PrefixSums sums = ordered_prefix(db, ordering, order);
   constexpr double kInf = std::numeric_limits<double>::infinity();
+  // dp[k][i]: min cost of cutting the first i items into k runs; cut[k][i]:
+  // where the last of those runs starts.
   std::vector<std::vector<double>> dp(channels + 1, std::vector<double>(n + 1, kInf));
   std::vector<std::vector<std::size_t>> cut(channels + 1,
                                             std::vector<std::size_t>(n + 1, 0));
@@ -39,12 +39,21 @@ Allocation ordered_dp_optimal(const Database& db, ChannelId channels,
   for (ChannelId k = channels; k >= 1; --k) {
     const std::size_t begin = cut[k][end];
     for (std::size_t i = begin; i < end; ++i) {
+      DBS_CHECK_MSG(order[i] < n, "order names unknown item " << order[i]);
       assignment[order[i]] = static_cast<ChannelId>(k - 1);
     }
     end = begin;
   }
   DBS_CHECK(end == 0);
-  return Allocation(db, channels, std::move(assignment));
+  return assignment;
+}
+
+Allocation ordered_dp_optimal(const Database& db, ChannelId channels,
+                              ItemOrdering ordering) {
+  // dbs-lint: contract delegated to contiguous_optimum
+  const std::vector<ItemId> order = ordered_ids(db, ordering);
+  const PrefixSums sums = ordered_prefix(db, ordering, order);
+  return Allocation(db, channels, contiguous_optimum(order, sums, channels));
 }
 
 }  // namespace dbs

@@ -1,57 +1,21 @@
 #include "baselines/vfk.h"
 
-#include <limits>
+#include <vector>
 
-#include "common/check.h"
+#include "baselines/ordered_dp.h"
 
 namespace dbs {
 
 Allocation run_vfk(const Database& db, ChannelId channels) {
-  const std::size_t n = db.size();
-  DBS_CHECK(channels >= 1);
-  DBS_CHECK_MSG(channels <= n, "VF^K cannot fill more channels than items");
-
+  // dbs-lint: contract delegated to contiguous_optimum
+  // Every size is one, so a run's aggregate size is its item count N_i, and
+  // exactly so: prefix sums of ones are integers. The DP then minimizes
+  // Σ F_i·N_i over the frequency order.
   const std::vector<ItemId> order = db.ids_by_freq_desc();
-
-  // Prefix frequencies over the sorted order; segment [a, b) has aggregate
-  // frequency pf[b] − pf[a] and the conventional cost (pf[b] − pf[a])·(b − a).
-  std::vector<double> pf(n + 1, 0.0);
-  for (std::size_t i = 0; i < n; ++i) pf[i + 1] = pf[i] + db.item(order[i]).freq;
-  auto segment_cost = [&](std::size_t a, std::size_t b) {
-    return (pf[b] - pf[a]) * static_cast<double>(b - a);
-  };
-
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  // dp[k][i]: min cost of splitting the first i items into k segments.
-  std::vector<std::vector<double>> dp(channels + 1, std::vector<double>(n + 1, kInf));
-  std::vector<std::vector<std::size_t>> cut(channels + 1,
-                                            std::vector<std::size_t>(n + 1, 0));
-  dp[0][0] = 0.0;
-  for (ChannelId k = 1; k <= channels; ++k) {
-    for (std::size_t i = k; i <= n; ++i) {
-      for (std::size_t j = k - 1; j < i; ++j) {
-        if (dp[k - 1][j] == kInf) continue;
-        const double candidate = dp[k - 1][j] + segment_cost(j, i);
-        if (candidate < dp[k][i]) {
-          dp[k][i] = candidate;
-          cut[k][i] = j;
-        }
-      }
-    }
-  }
-
-  // Recover the segment boundaries, then assign channels in segment order.
-  std::vector<ChannelId> assignment(n, 0);
-  std::size_t end = n;
-  for (ChannelId k = channels; k >= 1; --k) {
-    const std::size_t begin = cut[k][end];
-    for (std::size_t i = begin; i < end; ++i) {
-      assignment[order[i]] = static_cast<ChannelId>(k - 1);
-    }
-    end = begin;
-  }
-  DBS_CHECK(end == 0);
-  return Allocation(db, channels, std::move(assignment));
+  std::vector<double> freqs(order.size());
+  for (std::size_t i = 0; i < order.size(); ++i) freqs[i] = db.freqs()[order[i]];
+  const PrefixSums sums(freqs, std::vector<double>(order.size(), 1.0));
+  return Allocation(db, channels, contiguous_optimum(order, sums, channels));
 }
 
 }  // namespace dbs

@@ -6,9 +6,11 @@
 // schedule-dependent cost of channel i reduces to F_i · N_i · z and the
 // optimal program is a contiguous partition of the frequency-descending item
 // sequence minimizing Σ_i F_i · N_i. We compute that partition exactly with
-// dynamic programming (the "variant fanout" tree of the original algorithm
-// realizes the same optimum) and then evaluate the resulting allocation under
-// the true diverse sizes — exactly what the paper does in §4.
+// OrderedDp's dynamic program (contiguous_optimum, baselines/ordered_dp.h)
+// over the frequency order with every size one, so a run's size is its item
+// count (the "variant fanout" tree of the original algorithm realizes the
+// same optimum), and then evaluate the resulting allocation under the true
+// diverse sizes — exactly what the paper does in §4.
 #pragma once
 
 #include "model/allocation.h"

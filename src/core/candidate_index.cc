@@ -285,11 +285,12 @@ void CandidateIndex::apply(const CdsMove& move) {
   const ChannelId from = alloc_.channel_of(move.item);
   alloc_.move(move.item, move.to);
   // CDS applies the move best_move() just returned, whose rank selection
-  // found; any other move pays a binary search.
-  const std::uint32_t rank =
-      order_[selected_] == move.item
-          ? selected_
-          : static_cast<std::uint32_t>(alloc_.database().rank_of(move.item));
+  // found; any other move pays a linear search of the benefit order.
+  std::uint32_t rank = selected_;
+  if (order_[selected_] != move.item) {
+    const auto found = std::ranges::find(order_, move.item);
+    rank = static_cast<std::uint32_t>(found - order_.begin());
+  }
   home_[rank] = move.to;
   Span& span = spans_[move.to];
   span.lo = std::min(span.lo, rank);

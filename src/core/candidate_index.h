@@ -20,7 +20,7 @@
 // plus one rank span [lo, hi) per channel that holds all of its members,
 // and one gain maximum per block of ranks. f and z come from the Database's
 // rank-major columns. apply() reuses the rank of the move best_move() just
-// returned and asks the Database for any other moved item's rank.
+// returned and finds any other moved item's rank by a linear search.
 //
 // After a move p→q the fold rebuilds the hull, finds each piece's start with
 // one binary search per hull edge, and merges the old and new piece maps: a
@@ -67,7 +67,9 @@ class CandidateIndex {
   CdsMove best_move();
 
   /// \brief Applies `move` to the allocation and records its two touched
-  /// channels for the next best_move() fold.
+  /// channels for the next best_move() fold. The move best_move() just
+  /// returned reuses the rank its selection found; any other move pays an
+  /// O(N) search of the benefit order for its item's rank.
   void apply(const CdsMove& move);
 
   /// \brief Eq. 4 gains computed so far (one per item whose target is not

@@ -42,7 +42,7 @@ CdsStats run_cds(Allocation& alloc, const CdsOptions& options) {
       if (stats.iterations >= options.max_iterations) {
         // Budget exhausted: one more index pass tells whether the run
         // happens to sit at a local optimum anyway.
-        stats.converged = index.best_move().gain <= options.min_gain;
+        stats.converged = index.best_move().gain <= kCdsMinGain;
         break;
       }
       if (options.deadline.expired()) {
@@ -53,7 +53,7 @@ CdsStats run_cds(Allocation& alloc, const CdsOptions& options) {
         break;
       }
       const CdsMove move = index.best_move();
-      if (move.gain <= options.min_gain) break;  // local optimum (line 18 of CDS)
+      if (move.gain <= kCdsMinGain) break;  // local optimum (line 18 of CDS)
       index.apply(move);
       ++stats.iterations;
     }

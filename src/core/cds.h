@@ -26,16 +26,16 @@
 
 namespace dbs {
 
+/// A move must reduce cost by more than this to be applied. Zero matches
+/// the paper's Δc > 0; the tiny margin avoids cycling on rounding noise.
+inline constexpr double kCdsMinGain = 1e-12;
+
 /// CDS tuning knobs; defaults reproduce the paper.
 struct CdsOptions {
   /// Safety bound on iterations (each iteration applies one move). The cost
   /// strictly decreases every iteration, so termination is guaranteed anyway;
   /// this guards against pathological floating-point drift.
   std::size_t max_iterations = std::numeric_limits<std::size_t>::max();
-
-  /// A move must reduce cost by more than this to be applied. Zero matches
-  /// the paper's Δc > 0; the tiny default avoids cycling on rounding noise.
-  double min_gain = 1e-12;
 
   /// Cooperative cancellation (DESIGN.md §13): polled once per applied-move
   /// iteration. When it fires the run stops where it stands, like an

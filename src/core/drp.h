@@ -10,9 +10,9 @@
 #include <span>
 #include <vector>
 
+#include "core/partition.h"
 #include "model/allocation.h"
 #include "model/database.h"
-#include "model/prefix_sums.h"
 
 namespace dbs {
 

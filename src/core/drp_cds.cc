@@ -15,15 +15,4 @@ DrpCdsResult run_drp_cds(const Database& db, ChannelId channels,
   return result;
 }
 
-RepairResult repair_assignment(const Database& db, ChannelId channels,
-                               std::vector<ChannelId> assignment,
-                               const CdsOptions& options) {
-  // dbs-lint: contract delegated to Allocation (validates channels/assignment)
-  RepairResult result{Allocation(db, channels, std::move(assignment)), 0.0, 0.0, {}};
-  result.initial_cost = result.allocation.cost();
-  result.cds = run_cds(result.allocation, options);
-  result.final_cost = result.allocation.cost();
-  return result;
-}
-
 }  // namespace dbs

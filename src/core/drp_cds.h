@@ -31,21 +31,4 @@ struct DrpCdsResult {
 DrpCdsResult run_drp_cds(const Database& db, ChannelId channels,
                          const DrpCdsOptions& options = {});
 
-/// Outcome of repairing a carried-over assignment against a database.
-struct RepairResult {
-  Allocation allocation;
-  double initial_cost = 0.0;  ///< cost of the seed assignment on `db`
-  double final_cost = 0.0;    ///< cost after the CDS repair
-  CdsStats cds;
-};
-
-/// \brief Binds an existing assignment to `db` and runs CDS moves from there
-/// instead of from DRP's split — the portfolio's KK-CDS racer refines its
-/// seed this way. Same local-search guarantees as run_cds; the work is a
-/// handful of moves when the seed is already near a local optimum.
-/// Requires assignment.size() == db.size() and every entry < channels.
-RepairResult repair_assignment(const Database& db, ChannelId channels,
-                               std::vector<ChannelId> assignment,
-                               const CdsOptions& options = {});
-
 }  // namespace dbs

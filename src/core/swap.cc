@@ -43,7 +43,7 @@ DeepSearchStats run_cds_with_swaps(Allocation& alloc, const CdsOptions& options)
     stats.cds.iterations += phase.iterations;
 
     const SwapMove swap = best_swap(alloc);
-    if (swap.gain <= options.min_gain) break;
+    if (swap.gain <= kCdsMinGain) break;
     // Apply the exchange as two moves (aggregates stay exact throughout).
     alloc.move(swap.a, swap.from_b);
     alloc.move(swap.b, swap.from_a);

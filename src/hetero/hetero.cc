@@ -5,6 +5,7 @@
 #include <span>
 
 #include "common/check.h"
+#include "core/cds.h"
 #include "core/drp.h"
 
 namespace dbs {
@@ -35,8 +36,7 @@ double move_gain_unchecked(const Allocation& alloc, const std::vector<double>& b
 
 /// Best-improvement local search on the generalized Δ; returns moves applied.
 std::size_t improve_to_local_optimum(Allocation& alloc,
-                                     const std::vector<double>& bandwidths,
-                                     double min_gain = 1e-12) {
+                                     const std::vector<double>& bandwidths) {
   std::size_t moves = 0;
   while (true) {
     ItemId best_item = 0;
@@ -55,7 +55,7 @@ std::size_t improve_to_local_optimum(Allocation& alloc,
         }
       }
     }
-    if (!have || best_gain <= min_gain) return moves;
+    if (!have || best_gain <= kCdsMinGain) return moves;
     alloc.move(best_item, best_to);
     ++moves;
   }

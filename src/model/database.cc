@@ -20,13 +20,6 @@ std::uint64_t descending_key(double value) {
   return ~std::bit_cast<std::uint64_t>(value == 0.0 ? 0.0 : value);
 }
 
-/// The benefit order's sort key of item `id`: its ratio f/z, descending.
-/// The sort and Database::rank_of() both take it from here.
-std::uint64_t benefit_key(std::span<const double> freqs, std::span<const double> sizes,
-                          std::size_t id) {
-  return descending_key(freqs[id] / sizes[id]);
-}
-
 /// Fills `ids` with the item ids 0..n−1 (n ≥ 1) sorted by ascending
 /// `key(id)`, ties broken by id: the order std::stable_sort gives. Keys are
 /// computed from the id wherever they are needed, so no key column is ever
@@ -134,7 +127,9 @@ Database::Database(std::vector<double> sizes, std::vector<double> freqs)
     freq_[i] /= freq_sum;
     weighted_size_ += freq_[i] * size_[i];
   }
-  const auto key = [this](std::size_t id) { return benefit_key(freq_, size_, id); };
+  const auto key = [this](std::size_t id) {
+    return descending_key(freq_[id] / size_[id]);
+  };
   if (!sort_ids_by_key(n, key, benefit_order_)) return;
   benefit_freq_.resize(n);
   for (std::size_t rank = 0; rank < n; ++rank) {
@@ -144,19 +139,6 @@ Database::Database(std::vector<double> sizes, std::vector<double> freqs)
   for (std::size_t rank = 0; rank < n; ++rank) {
     benefit_size_[rank] = size_[benefit_order_[rank]];
   }
-}
-
-std::size_t Database::rank_of(ItemId id) const {
-  DBS_CHECK_MSG(id < freq_.size(), "item id " << id << " out of range");
-  // The sort lists the ids by ascending (benefit key, id), a total order,
-  // so the ids before `id` are a prefix of benefit_order().
-  const std::uint64_t key = benefit_key(freq_, size_, id);
-  const auto before = [&](ItemId other) {
-    const std::uint64_t other_key = benefit_key(freq_, size_, other);
-    return other_key != key ? other_key < key : other < id;
-  };
-  return static_cast<std::size_t>(std::ranges::partition_point(benefit_order_, before) -
-                                  benefit_order_.begin());
 }
 
 Item Database::item(ItemId id) const {

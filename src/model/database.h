@@ -73,10 +73,6 @@ class Database {
   /// returns the same cached vector.
   const std::vector<ItemId>& benefit_order() const { return benefit_order_; }
 
-  /// \brief The rank of item `id`: benefit_order()[rank_of(id)] == id. A
-  /// binary search under the sort's own order, O(log N).
-  std::size_t rank_of(ItemId id) const;
-
   /// \brief The frequency column by rank: benefit_freqs()[i] is
   /// freqs()[benefit_order()[i]], bit for bit. Input whose ratios arrive
   /// in order keeps no copy: this is then freqs() itself.

@@ -54,7 +54,11 @@ double parse_number(const std::string& field, std::size_t line_number,
 
 std::string Catalog::name_of(ItemId id) const {
   if (id < names.size() && !names[id].empty()) return names[id];
-  return "d" + std::to_string(id + 1);
+  // Appending, not "d" + ...: GCC 12's -O3 flags libstdc++'s operator+
+  // (const char*, string&&) with a false -Wrestrict.
+  std::string name = "d";
+  name += std::to_string(id + 1);
+  return name;
 }
 
 Catalog load_catalog(std::istream& in) {

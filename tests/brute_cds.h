@@ -8,12 +8,12 @@
 
 namespace dbs {
 
-/// Applies best_move(alloc) while its gain exceeds run_cds's default
-/// min_gain; returns the number of moves applied.
+/// Applies best_move(alloc) while its gain exceeds run_cds's kCdsMinGain;
+/// returns the number of moves applied.
 inline std::size_t brute_force_cds(Allocation& alloc) {
-  const double min_gain = CdsOptions{}.min_gain;
   std::size_t iterations = 0;
-  for (CdsMove move = best_move(alloc); move.gain > min_gain; move = best_move(alloc)) {
+  for (CdsMove move = best_move(alloc); move.gain > kCdsMinGain;
+       move = best_move(alloc)) {
     alloc.move(move.item, move.to);
     ++iterations;
   }

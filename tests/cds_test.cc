@@ -189,7 +189,6 @@ TEST(CdsIndexed, ReachesALocalOptimumOnTieHeavyIntegerCatalogues) {
   // gains, so the trajectories can differ; what must hold is the loop's
   // contract: no cost increase, and a local optimum at the end.
   Rng rng(2005);
-  const double min_gain = CdsOptions{}.min_gain;
   for (int instance = 0; instance < 200; ++instance) {
     const std::size_t n = 2 + static_cast<std::size_t>(rng.below(79));
     std::vector<double> sizes(n);
@@ -212,7 +211,7 @@ TEST(CdsIndexed, ReachesALocalOptimumOnTieHeavyIntegerCatalogues) {
       const std::string context = "instance " + std::to_string(instance) +
                                   (all_on_zero ? " from channel 0" : " from scattered");
       EXPECT_TRUE(stats.converged) << context;
-      EXPECT_LE(best_move(alloc).gain, min_gain) << context;
+      EXPECT_LE(best_move(alloc).gain, kCdsMinGain) << context;
       EXPECT_LE(alloc.cost(), before) << context;
     }
   }

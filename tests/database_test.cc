@@ -167,12 +167,6 @@ void expect_matches_reference(const std::vector<double>& sizes,
   const bool in_order = order == identity;
   EXPECT_EQ(db.benefit_freqs().data() == db.freqs().data(), in_order) << context;
   EXPECT_EQ(db.benefit_sizes().data() == db.sizes().data(), in_order) << context;
-  std::size_t misplaced = 0;
-  for (ItemId id = 0; id < db.size(); ++id) {
-    const std::size_t rank = db.rank_of(id);
-    misplaced += rank >= order.size() || order[rank] != id;
-  }
-  EXPECT_EQ(misplaced, 0u) << context << ": rank_of() disagrees with benefit_order()";
 }
 
 TEST(Database, RadixOrdersMatchAStableSortReference) {
@@ -246,13 +240,6 @@ TEST(Database, RadixOrdersMatchAStableSortReference) {
   expect_matches_reference({1e10, 1e10, 2e10, 1.0, 1e-310, 2e-310, 1e10},
                            {2e-310, 1e-310, 4e-310, 1.0, 0.5, 0.5, 0.0},
                            "subnormal and infinite ratios");
-}
-
-TEST(Database, RankOfRejectsUnknownIds) {
-  const Database db({1.0, 2.0, 4.0}, {0.2, 0.5, 0.3});
-  EXPECT_EQ(db.rank_of(1), 0u);
-  EXPECT_THROW(db.rank_of(3), ContractViolation);
-  EXPECT_THROW(db.rank_of(std::numeric_limits<ItemId>::max()), ContractViolation);
 }
 
 TEST(Database, FreqOrderIsDescending) {

@@ -77,7 +77,7 @@ EpochReport step_and_check(BroadcastServerLoop& server,
   EXPECT_LE(on_air, fresh.final_cost * (1.0 + kRepairQualityBound))
       << "epoch " << r.epoch << ": on-air program drifted too far from a "
       << "fresh rebuild";
-  EXPECT_LE(best_move(snap->alloc).gain, CdsOptions{}.min_gain)
+  EXPECT_LE(best_move(snap->alloc).gain, kCdsMinGain)
       << "epoch " << r.epoch << ": on-air program is not a local optimum";
   EXPECT_GE(r.churn, 0.0);
   EXPECT_LE(r.churn, 1.0);
@@ -210,7 +210,7 @@ TEST(DriftServe, SteadyTrafficChurnStaysPinned) {
     for (int epoch = 0; epoch < 26; ++epoch) {
       const EpochReport r = server.observe_window(window_from(freqs, 3000, rng));
       const std::shared_ptr<const ProgramSnapshot> snap = server.snapshot();
-      EXPECT_LE(best_move(snap->alloc).gain, CdsOptions{}.min_gain)
+      EXPECT_LE(best_move(snap->alloc).gain, kCdsMinGain)
           << "seed " << seed << " epoch " << r.epoch;
       if (epoch < 6) continue;  // warm-up from the uniform prior
       churn += r.churn;
@@ -234,7 +234,7 @@ TEST(DriftServe, ServeDriftScalePublishesLocalOptima) {
     std::rotate(freqs.begin(), freqs.begin() + n / 50, freqs.end());
     const EpochReport r = server.observe_window(window_from(freqs, n, rng));
     const std::shared_ptr<const ProgramSnapshot> snap = server.snapshot();
-    EXPECT_LE(best_move(snap->alloc).gain, CdsOptions{}.min_gain)
+    EXPECT_LE(best_move(snap->alloc).gain, kCdsMinGain)
         << "epoch " << r.epoch;
   }
 }

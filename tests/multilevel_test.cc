@@ -36,7 +36,7 @@ TEST(Multilevel, EndsAtASingleMoveLocalOptimum) {
     const MultilevelResult r = run_multilevel(db, c.channels);
     EXPECT_EQ(&r.allocation.database(), &db);
     EXPECT_TRUE(r.cds.converged);
-    EXPECT_LE(best_move(r.allocation).gain, CdsOptions{}.min_gain)
+    EXPECT_LE(best_move(r.allocation).gain, kCdsMinGain)
         << "N=" << c.items << " K=" << c.channels;
     EXPECT_EQ(r.final_cost, r.allocation.cost());
     std::string error;

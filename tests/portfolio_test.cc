@@ -148,10 +148,10 @@ TEST(QualityAnchor, KkCdsAndPortfolioStayNearOrderedDp) {
       const double floor = broadcast_cost_lower_bound(db, k);
       ASSERT_LE(floor, anchor + 1e-9);
 
-      const RepairResult kk = repair_assignment(
-          db, k, kk_seed_allocation(db, k).assignment());
-      EXPECT_GE(kk.final_cost, floor - 1e-9);
-      EXPECT_LE(kk.final_cost, kFactor * anchor)
+      Allocation kk = kk_seed_allocation(db, k);
+      run_cds(kk);
+      EXPECT_GE(kk.cost(), floor - 1e-9);
+      EXPECT_LE(kk.cost(), kFactor * anchor)
           << "kk+cds seed=" << seed << " k=" << k;
 
       PortfolioOptions options;

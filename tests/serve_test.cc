@@ -117,7 +117,7 @@ TEST(ServerLoop, MildDriftPublishesLocalOptima) {
     // Every epoch's re-plan ends at a single-move local optimum of the
     // estimate it was planned against, like DRP-CDS.
     const std::shared_ptr<const ProgramSnapshot> snap = server.snapshot();
-    EXPECT_LE(best_move(snap->alloc).gain, CdsOptions{}.min_gain)
+    EXPECT_LE(best_move(snap->alloc).gain, kCdsMinGain)
         << "epoch " << r.epoch;
   }
 }
