@@ -52,8 +52,7 @@ Measurement measure(const Database& db, Algorithm algorithm, ChannelId channels,
   }
   if (cds_max_iterations != 0) {
     request.drp_cds.cds.max_iterations = cds_max_iterations;
-    request.portfolio.drp_cds.cds.max_iterations = cds_max_iterations;
-    request.portfolio.kk_cds.max_iterations = cds_max_iterations;
+    request.portfolio.cds_max_iterations = cds_max_iterations;
   }
   if (algorithm == Algorithm::kPortfolio) {
     // Bench rows must stay seed-deterministic: give the race a budget no
@@ -83,14 +82,6 @@ Measurement run_trial(const WorkloadConfig& config, Algorithm algorithm,
 
 }  // namespace
 
-void run_trials(std::size_t trials, std::size_t workers,
-                const std::function<void(std::size_t)>& body) {
-  // The pool itself moved to common/parallel.h (PR 9) so the optimizer
-  // portfolio can race planners on it; the bench-facing name and contract
-  // are unchanged.
-  run_tasks(trials, workers, body);
-}
-
 std::vector<Measurement> measure_trials(const WorkloadConfig& config,
                                         Algorithm algorithm, ChannelId channels,
                                         double bandwidth, const Options& options,
@@ -98,7 +89,7 @@ std::vector<Measurement> measure_trials(const WorkloadConfig& config,
   // Each trial writes only its own slot, so no two threads ever touch the
   // same element and no ordering between trials is assumed.
   std::vector<Measurement> per_trial(options.trials);
-  run_trials(options.trials, options.threads, [&](std::size_t trial) {
+  run_tasks(options.trials, options.threads, [&](std::size_t trial) {
     per_trial[trial] = run_trial(config, algorithm, channels, bandwidth,
                                  options, base_seed, trial);
   });

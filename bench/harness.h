@@ -6,7 +6,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -95,26 +94,6 @@ std::vector<Measurement> measure_trials(const WorkloadConfig& config,
                                         Algorithm algorithm, ChannelId channels,
                                         double bandwidth, const Options& options,
                                         std::uint64_t base_seed);
-
-/// \brief Runs `body(trial)` for every trial in [0, trials) on a fixed-size
-/// worker pool — the primitive underneath measure_trials. Since PR 9 the
-/// pool itself lives in common/parallel.h (dbs::run_tasks, shared with the
-/// optimizer portfolio); this wrapper keeps the bench-facing name.
-///
-/// `workers` follows the --threads convention: 0 auto-detects one worker per
-/// hardware core, the pool never exceeds `trials`, and a count of one runs
-/// every trial inline on the calling thread. Trial indices are claimed from
-/// a lock-free atomic counter, so each index is executed exactly once with
-/// no ordering guarantee between indices; `body` must only touch
-/// trial-private state (e.g. slot `trial` of a pre-sized vector).
-///
-/// Failure contract (tests/harness_test.cc): if any `body` call throws, the
-/// pool stops handing out new trials, lets in-flight trials finish, joins
-/// every worker, and rethrows the first exception on the calling thread —
-/// a throwing trial can neither deadlock the pool nor leak a joinable
-/// thread. Later exceptions (at most one per worker) are discarded.
-void run_trials(std::size_t trials, std::size_t workers,
-                const std::function<void(std::size_t)>& body);
 
 /// \brief Emits `table` to stdout and, when `--csv` was given, writes
 /// `csv_header` + `csv_rows` to the CSV file (one value per cell, same

@@ -48,6 +48,7 @@
 #include "common/rng.h"
 #include "common/stats.h"
 #include "common/stopwatch.h"
+#include "common/strings.h"
 #include "common/table.h"
 #include "core/kk_partition.h"
 #include "harness.h"
@@ -61,6 +62,7 @@ namespace {
 using dbs::Algorithm;
 using dbs::ChannelId;
 using dbs::WorkloadConfig;
+using dbs::json_escape;
 using dbs::bench::Measurement;
 using dbs::bench::Options;
 
@@ -204,22 +206,6 @@ std::string cpu_model() {
   }
   std::fclose(f);
   return model;
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      out.push_back(' ');
-    } else {
-      out.push_back(c);
-    }
-  }
-  return out;
 }
 
 void json_number_list(std::FILE* f, const std::vector<double>& values) {

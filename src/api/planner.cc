@@ -9,7 +9,7 @@
 namespace dbs {
 
 PlanResult plan_channel_count(const Database& db, double total_bandwidth,
-                              ChannelId max_channels, Algorithm algorithm) {
+                              ChannelId max_channels) {
   DBS_OBS_SPAN("api.planner.plan");
   DBS_CHECK(total_bandwidth > 0.0);
   DBS_CHECK(max_channels >= 1);
@@ -29,8 +29,7 @@ PlanResult plan_channel_count(const Database& db, double total_bandwidth,
 
   for (ChannelId k = 1; k <= limit; ++k) {
     DBS_OBS_SPAN("api.planner.sweep_k");
-    ScheduleRequest request;
-    request.algorithm = algorithm;
+    ScheduleRequest request;  // DRP-CDS
     request.channels = k;
     request.bandwidth = total_bandwidth / static_cast<double>(k);
     ScheduleResult result = schedule(db, request);

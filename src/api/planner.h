@@ -30,8 +30,8 @@ struct PlanResult {
 };
 
 /// \brief Evaluates K = 1..max_channels (capped at N), scheduling with
-/// `algorithm` at per-channel bandwidth total_bandwidth/K, and returns the
-/// K minimizing W_b.
+/// DRP-CDS at per-channel bandwidth total_bandwidth/K, and returns the K
+/// minimizing W_b.
 /// `db` must be a validated non-empty catalogue (DBS_CHECKed, matching
 /// schedule()); requires total_bandwidth > 0 and max_channels ≥ 1. On equal
 /// waiting times the smallest K wins deterministically (the comparison is
@@ -39,7 +39,6 @@ struct PlanResult {
 /// sweep holds one PlanPoint per evaluated K so callers can plot the full
 /// trade-off curve.
 PlanResult plan_channel_count(const Database& db, double total_bandwidth,
-                              ChannelId max_channels,
-                              Algorithm algorithm = Algorithm::kDrpCds);
+                              ChannelId max_channels);
 
 }  // namespace dbs

@@ -49,23 +49,24 @@ PortfolioResult plan(const Database& db, ChannelId channels, double deadline_ms,
   constexpr std::size_t kRacers = 3;
   std::array<Slot, kRacers> slots;
 
+  // Both CDS racers refine under the same move cap and the race's deadline.
+  const DrpCdsOptions drp_cds{
+      .drp = {},
+      .cds = {.max_iterations = options.cds_max_iterations, .deadline = deadline}};
+
   const auto run_racer = [&](std::size_t index) {
     Stopwatch racer_watch;
     Slot& slot = slots[index];
     switch (static_cast<PortfolioRacer>(index)) {
       case PortfolioRacer::kDrpCds: {
-        DrpCdsOptions opts = options.drp_cds;
-        opts.cds.deadline = deadline;
-        DrpCdsResult result = run_drp_cds(db, channels, opts);
+        DrpCdsResult result = run_drp_cds(db, channels, drp_cds);
         slot.completed = result.cds.converged;
         slot.allocation.emplace(std::move(result.allocation));
         break;
       }
       case PortfolioRacer::kKkCds: {
-        CdsOptions opts = options.kk_cds;
-        opts.deadline = deadline;
         slot.allocation.emplace(kk_seed_allocation(db, channels));
-        slot.completed = run_cds(*slot.allocation, opts).converged;
+        slot.completed = run_cds(*slot.allocation, drp_cds.cds).converged;
         break;
       }
       case PortfolioRacer::kGopt: {
@@ -81,8 +82,7 @@ PortfolioResult plan(const Database& db, ChannelId channels, double deadline_ms,
     slot.elapsed_ms = racer_watch.millis();
   };
 
-  run_tasks(kRacers, options.threads == 0 ? kRacers : options.threads,
-            run_racer);
+  run_tasks(kRacers, kRacers, run_racer);
 
   // Deterministic winner selection: strict cost argmin, ties to the lowest
   // racer index. Finish order plays no part, so the choice depends only on

@@ -20,6 +20,7 @@
 #pragma once
 
 #include <cstddef>
+#include <limits>
 #include <string_view>
 #include <vector>
 
@@ -44,15 +45,13 @@ enum class PortfolioRacer {
 std::string_view portfolio_racer_name(PortfolioRacer racer);
 
 /// Portfolio tuning knobs. The deadline itself is a plan() argument — it is
-/// the contract of the call, not a tunable.
+/// the contract of the call, not a tunable. The race runs one worker thread
+/// per racer.
 struct PortfolioOptions {
-  DrpCdsOptions drp_cds;  ///< DRP+CDS racer (its cds.deadline is overwritten)
-  CdsOptions kk_cds;      ///< CDS repair of the KK seed (deadline overwritten)
+  /// CDS move cap shared by the DRP+CDS racer and the KK seed's repair
+  /// (CdsOptions::max_iterations; the default is unbounded).
+  std::size_t cds_max_iterations = std::numeric_limits<std::size_t>::max();
   GoptOptions gopt;       ///< GA racer (its deadline is overwritten)
-  /// Worker threads for the race; 0 (the default) runs one per racer. 1
-  /// runs the racers sequentially on the calling thread — same result by
-  /// the determinism contract, useful under sanitizers.
-  std::size_t threads = 0;
 };
 
 /// Telemetry for one racer's run within the race.

@@ -3,6 +3,7 @@
 #include <stdexcept>
 
 #include "api/portfolio.h"
+#include "baselines/annealing.h"
 #include "baselines/brute_force.h"
 #include "baselines/flat.h"
 #include "baselines/greedy.h"
@@ -94,7 +95,7 @@ ScheduleResult schedule(const Database& db, const ScheduleRequest& request) {
       alloc = run_gopt(db, request.channels, request.gopt).allocation;
       break;
     case Algorithm::kAnneal:
-      alloc = run_annealing(db, request.channels, request.anneal).allocation;
+      alloc = run_annealing(db, request.channels).allocation;
       break;
     case Algorithm::kBruteForce: {
       auto exact = brute_force_optimal(db, request.channels);

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "api/portfolio.h"
-#include "baselines/annealing.h"
 #include "baselines/gopt.h"
 #include "core/drp_cds.h"
 #include "model/allocation.h"
@@ -66,7 +65,6 @@ struct ScheduleRequest {
   double bandwidth = 10.0;  ///< for the reported waiting time (paper Table 5)
   DrpCdsOptions drp_cds;    ///< used by kDrp / kDrpCds
   GoptOptions gopt;         ///< used by kGopt
-  AnnealOptions anneal;     ///< used by kAnneal
   PortfolioOptions portfolio;  ///< used by kPortfolio
   /// Race budget for kPortfolio, in milliseconds (see api/portfolio.h).
   double portfolio_deadline_ms = 250.0;

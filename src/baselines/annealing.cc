@@ -7,31 +7,26 @@
 #include "common/rng.h"
 
 namespace dbs {
+namespace {
+
+constexpr double kInitialTemperature = 0.05;  // share of the start's cost
+constexpr double kCooling = 0.9999;           // geometric factor per step
+
+}  // namespace
 
 AnnealResult run_annealing(const Database& db, ChannelId channels,
                            const AnnealOptions& options) {
   const std::size_t n = db.size();
   DBS_CHECK(channels >= 1);
   DBS_CHECK_MSG(channels <= n, "cannot fill more channels than items");
-  DBS_CHECK(options.initial_temperature > 0.0);
-  DBS_CHECK(options.cooling > 0.0 && options.cooling <= 1.0);
 
   Rng rng(options.seed);
 
-  Allocation current = options.start_from_greedy
-                           ? greedy_insertion(db, channels)
-                           : [&] {
-                               std::vector<ChannelId> genes(n);
-                               for (auto& g : genes) {
-                                 g = static_cast<ChannelId>(rng.below(channels));
-                               }
-                               return Allocation(db, channels, std::move(genes));
-                             }();
-
+  Allocation current = greedy_insertion(db, channels);
   double current_cost = current.cost();
   Allocation best = current;
   double best_cost = current_cost;
-  double temperature = options.initial_temperature * current_cost;
+  double temperature = kInitialTemperature * current_cost;
   std::size_t accepted = 0;
 
   for (std::size_t step = 0; step < options.steps && channels > 1; ++step) {
@@ -53,7 +48,7 @@ AnnealResult run_annealing(const Database& db, ChannelId channels,
         best_cost = current_cost;
       }
     }
-    temperature *= options.cooling;
+    temperature *= kCooling;
   }
 
   // Re-derive the exact cost to shed any accumulated float drift.

@@ -1,7 +1,9 @@
 // Simulated-annealing baseline: a second metaheuristic reference point
-// besides GOPT. Anneals over single-item moves using the O(1) reduction of
-// Eq. (4), accepting uphill moves with the Metropolis rule under a geometric
-// cooling schedule, and remembers the best allocation visited.
+// besides GOPT. Starts from greedy insertion and anneals over single-item
+// moves using the O(1) reduction of Eq. (4), accepting uphill moves with the
+// Metropolis rule under a geometric cooling schedule, and remembers the best
+// allocation visited. The schedule is fixed: the temperature starts at 5% of
+// the greedy start's cost and cools by a factor 0.9999 per step.
 #pragma once
 
 #include <cstddef>
@@ -16,9 +18,6 @@ namespace dbs {
 /// DRP-CDS on the paper's workload sizes while staying well under GOPT cost.
 struct AnnealOptions {
   std::size_t steps = 200'000;     ///< proposed moves
-  double initial_temperature = 0.05;  ///< relative to the starting cost
-  double cooling = 0.9999;         ///< geometric factor per step
-  bool start_from_greedy = true;   ///< false = uniform random start
   std::uint64_t seed = 7;
 };
 

@@ -13,6 +13,17 @@
 namespace dbs {
 namespace {
 
+// The GA's operators (gopt.h). Elitism relies on population ≥ kElites, which
+// run_gopt checks.
+constexpr std::size_t kTournament = 3;      // parents drawn per selection
+constexpr double kCrossoverRate = 0.9;      // share of pairs crossed over
+constexpr double kUniformCrossover = 0.5;   // share of crossovers that are uniform
+constexpr double kMutationRate = 0.02;      // per-gene re-draw probability
+constexpr std::size_t kElites = 2;          // individuals copied unchanged
+// Every this many generations CDS polishes the generation's best and puts it
+// back, which lets the GA leave local optima crossover alone cannot.
+constexpr std::size_t kPolishInterval = 40;
+
 using Chromosome = std::vector<ChannelId>;
 
 /// Cost of a chromosome: Σ F_i·Z_i computed in one pass.
@@ -41,8 +52,7 @@ GoptResult run_gopt(const Database& db, ChannelId channels,
   const std::size_t n = db.size();
   DBS_CHECK(channels >= 1);
   DBS_CHECK_MSG(channels <= n, "cannot fill more channels than items");
-  DBS_CHECK(options.population >= 2);
-  DBS_CHECK(options.tournament >= 1);
+  DBS_CHECK(options.population >= kElites);
 
   Rng rng(options.seed);
   std::uint64_t evaluations = 0;
@@ -100,7 +110,7 @@ GoptResult run_gopt(const Database& db, ChannelId channels,
 
   auto tournament_pick = [&]() -> const Individual& {
     const Individual* winner = &population[rng.below(population.size())];
-    for (std::size_t t = 1; t < options.tournament; ++t) {
+    for (std::size_t t = 1; t < kTournament; ++t) {
       const Individual& challenger = population[rng.below(population.size())];
       if (challenger.cost < winner->cost) winner = &challenger;
     }
@@ -123,22 +133,20 @@ GoptResult run_gopt(const Database& db, ChannelId channels,
 
     // Elitism: copy the best individuals unchanged.
     std::partial_sort(population.begin(),
-                      population.begin() +
-                          static_cast<std::ptrdiff_t>(
-                              std::min(options.elites, population.size())),
+                      population.begin() + static_cast<std::ptrdiff_t>(kElites),
                       population.end(), better);
     std::size_t produced = 0;
-    for (; produced < options.elites && produced < population.size(); ++produced) {
+    for (; produced < kElites; ++produced) {
       offspring[produced] = population[produced];
     }
 
     while (produced < population.size()) {
       Individual child;
       const Individual& mother = tournament_pick();
-      if (rng.chance(options.crossover_rate)) {
+      if (rng.chance(kCrossoverRate)) {
         const Individual& father = tournament_pick();
         child.genes.resize(n);
-        if (rng.chance(options.uniform_crossover)) {
+        if (rng.chance(kUniformCrossover)) {
           for (std::size_t i = 0; i < n; ++i) {
             child.genes[i] = rng.chance(0.5) ? mother.genes[i] : father.genes[i];
           }
@@ -152,7 +160,7 @@ GoptResult run_gopt(const Database& db, ChannelId channels,
         child.genes = mother.genes;
       }
       for (std::size_t i = 0; i < n; ++i) {
-        if (rng.chance(options.mutation_rate)) {
+        if (rng.chance(kMutationRate)) {
           child.genes[i] = static_cast<ChannelId>(rng.below(channels));
         }
       }
@@ -164,7 +172,7 @@ GoptResult run_gopt(const Database& db, ChannelId channels,
     // Memetic step: occasionally polish the generation's best individual to
     // its local optimum and put it back; recombination then explores from
     // refined material instead of half-finished assignments.
-    if (options.polish_interval != 0 && (gen + 1) % options.polish_interval == 0) {
+    if ((gen + 1) % kPolishInterval == 0) {
       auto best_it = std::min_element(population.begin(), population.end(), better);
       Allocation polished(db, channels, best_it->genes);
       run_cds(polished, polish_options);

@@ -5,9 +5,13 @@
 // Chromosome: an assignment vector of length N with gene values in 0..K−1.
 // The paper notes exactly this encoding when explaining why GOPT's execution
 // time is more sensitive to N (chromosome length) than to K (gene alphabet).
-// Fitness is the reciprocal of the cost function (Eq. 3). Selection is
-// tournament-based; crossover mixes one-point and uniform operators; mutation
-// re-draws single genes; the best individuals survive unchanged (elitism).
+// Fitness is the reciprocal of the cost function (Eq. 3). Selection is a
+// 3-way tournament; 90% of pairs cross over, half of them uniformly and half
+// at one point; mutation re-draws each gene with probability 0.02; the best
+// two individuals survive unchanged (elitism); every 40 generations CDS
+// polishes the generation's best. These operators are fixed (gopt.cc): the
+// paper gives none, and only the population, generation and stall budgets
+// trade time for quality in the benches.
 #pragma once
 
 #include <cstddef>
@@ -25,18 +29,9 @@ namespace dbs {
 struct GoptOptions {
   std::size_t population = 120;
   std::size_t generations = 600;
-  std::size_t tournament = 3;       ///< tournament size for parent selection
-  double crossover_rate = 0.9;      ///< probability a pair is crossed over
-  double uniform_crossover = 0.5;   ///< share of crossovers that are uniform
-  double mutation_rate = 0.02;      ///< per-gene reassignment probability
-  std::size_t elites = 2;           ///< individuals copied unchanged
   std::size_t stall_generations = 150;  ///< early stop if no improvement
   bool seed_with_heuristics = true; ///< inject DRP-CDS/greedy seeds (memetic start)
   bool local_search_final = true;   ///< polish the best individual with CDS
-  std::size_t polish_interval = 40; ///< every k generations, CDS-polish the
-                                    ///< current best and reinsert (0 = never);
-                                    ///< lets the GA escape local optima that
-                                    ///< crossover alone cannot leave
   std::uint64_t seed = 42;
 
   /// Cooperative cancellation (DESIGN.md §13): polled once per generation,

@@ -43,4 +43,20 @@ std::string join(const std::vector<std::string>& parts, const std::string& sep) 
   return out;
 }
 
+std::string json_escape(std::string_view s) {
+  std::string out;
+  out.reserve(s.size());
+  for (char c : s) {
+    if (c == '"' || c == '\\') {
+      out.push_back('\\');
+      out.push_back(c);
+    } else if (static_cast<unsigned char>(c) < 0x20) {
+      out.push_back(' ');
+    } else {
+      out.push_back(c);
+    }
+  }
+  return out;
+}
+
 }  // namespace dbs

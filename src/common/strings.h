@@ -3,6 +3,7 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace dbs {
@@ -21,5 +22,9 @@ std::string pad_right(const std::string& s, std::size_t width);
 
 /// Joins strings with a separator.
 std::string join(const std::vector<std::string>& parts, const std::string& sep);
+
+/// Escapes `s` for the inside of a JSON string literal: a backslash goes
+/// before each `"` and `\`, and each control character becomes a space.
+std::string json_escape(std::string_view s);
 
 }  // namespace dbs

@@ -9,6 +9,12 @@
 #include "common/distributions.h"
 
 namespace dbs {
+namespace {
+
+constexpr double kItemSkewness = 0.8;       // Zipf over item ids for members
+constexpr std::size_t kLatencySamples = 64;  // start times per query
+
+}  // namespace
 
 std::vector<double> QueryWorkload::induced_item_frequencies(std::size_t items) const {
   std::vector<double> freq(items, 0.0);
@@ -32,7 +38,7 @@ QueryWorkload generate_query_workload(const Database& db,
   const std::vector<double> query_freqs =
       zipf_probabilities(config.queries, config.skewness);
   const std::vector<double> item_weights =
-      zipf_probabilities(db.size(), config.item_skewness);
+      zipf_probabilities(db.size(), kItemSkewness);
   const AliasSampler item_sampler(item_weights);
 
   QueryWorkload workload;
@@ -85,9 +91,7 @@ double query_latency_sequential(const BroadcastProgram& program, const Query& qu
 }
 
 QueryLatencyReport evaluate_query_workload(const BroadcastProgram& program,
-                                           const QueryWorkload& workload,
-                                           std::size_t samples) {
-  DBS_CHECK(samples > 0);
+                                           const QueryWorkload& workload) {
   // Sample start times uniformly over the hyper-span of all cycles (use the
   // longest cycle as the sampling window — per-channel phases are periodic).
   double window = 0.0;
@@ -101,14 +105,14 @@ QueryLatencyReport evaluate_query_workload(const BroadcastProgram& program,
   for (const Query& q : workload.queries) {
     double par = 0.0;
     double seq = 0.0;
-    for (std::size_t s = 0; s < samples; ++s) {
+    for (std::size_t s = 0; s < kLatencySamples; ++s) {
       const double t = window * (static_cast<double>(s) + 0.5) /
-                       static_cast<double>(samples);
+                       static_cast<double>(kLatencySamples);
       par += query_latency_parallel(program, q, t);
       seq += query_latency_sequential(program, q, t);
     }
-    report.parallel += q.freq * par / static_cast<double>(samples);
-    report.sequential += q.freq * seq / static_cast<double>(samples);
+    report.parallel += q.freq * par / static_cast<double>(kLatencySamples);
+    report.sequential += q.freq * seq / static_cast<double>(kLatencySamples);
     freq_total += q.freq;
   }
   DBS_CHECK(freq_total > 0.0);

@@ -44,13 +44,12 @@ struct QueryWorkloadConfig {
   std::size_t queries = 60;       ///< number of distinct query patterns
   std::size_t max_items = 4;      ///< items per query drawn from [1, max]
   double skewness = 0.8;          ///< Zipf over query rank
-  double item_skewness = 0.8;     ///< Zipf for picking member items
   std::uint64_t seed = 1;
 };
 
 /// Draws a synthetic query workload over `db`. Query popularity is Zipf over
 /// query rank; member items are drawn (without replacement within a query)
-/// from a Zipf over item ids.
+/// from a Zipf(0.8) over item ids.
 QueryWorkload generate_query_workload(const Database& db,
                                       const QueryWorkloadConfig& config);
 
@@ -64,13 +63,12 @@ double query_latency_sequential(const BroadcastProgram& program, const Query& qu
                                 double t);
 
 /// Expected query latency of the workload: freq-weighted mean over queries of
-/// the mean latency over `samples` uniformly-spread start times per query.
+/// the mean latency over 64 uniformly-spread start times per query.
 struct QueryLatencyReport {
   double parallel = 0.0;
   double sequential = 0.0;
 };
 QueryLatencyReport evaluate_query_workload(const BroadcastProgram& program,
-                                           const QueryWorkload& workload,
-                                           std::size_t samples = 64);
+                                           const QueryWorkload& workload);
 
 }  // namespace dbs

@@ -19,6 +19,13 @@ namespace {
   throw std::runtime_error(os.str());
 }
 
+/// Fails unless `fields` holds nothing past the values already read, so
+/// "item 0 1.9" or "bandwidth 5x" cannot load as a prefix of the line.
+void expect_line_end(std::istringstream& fields, std::size_t line_number) {
+  std::string extra;
+  if (fields >> extra) fail(line_number, "unexpected '" + extra + "' after the values");
+}
+
 }  // namespace
 
 void store_allocation(std::ostream& out, const Allocation& alloc, double bandwidth) {
@@ -38,7 +45,7 @@ StoredAllocation load_allocation(std::istream& in, const Database& db) {
   // dbs-lint: contract delegated to per-line fail() parse validation below,
   // plus the Allocation constructor's bounds re-check on construction.
   std::optional<ChannelId> channels;
-  double bandwidth = 0.0;
+  std::optional<double> bandwidth;
   std::vector<ChannelId> assignment(db.size(), 0);
   std::vector<bool> seen(db.size(), false);
 
@@ -51,6 +58,8 @@ StoredAllocation load_allocation(std::istream& in, const Database& db) {
     if (!(fields >> keyword) || keyword.front() == '#') continue;
 
     if (keyword == "channels") {
+      // A second count would re-bound the channels of items already read.
+      if (channels.has_value()) fail(line_number, "repeated 'channels'");
       // Signed, so "-1" is rejected instead of wrapping to 2^64 - 1, and
       // range-checked (1 ≤ K ≤ N) before the narrowing cast to ChannelId.
       std::int64_t value = 0;
@@ -61,9 +70,10 @@ StoredAllocation load_allocation(std::istream& in, const Database& db) {
       }
       channels = static_cast<ChannelId>(value);
     } else if (keyword == "bandwidth") {
-      if (!(fields >> bandwidth) || bandwidth <= 0.0) {
-        fail(line_number, "bad bandwidth");
-      }
+      if (bandwidth.has_value()) fail(line_number, "repeated 'bandwidth'");
+      double value = 0.0;
+      if (!(fields >> value) || value <= 0.0) fail(line_number, "bad bandwidth");
+      bandwidth = value;
     } else if (keyword == "item") {
       if (!channels.has_value()) fail(line_number, "'item' before 'channels'");
       std::int64_t id = 0;
@@ -81,17 +91,18 @@ StoredAllocation load_allocation(std::istream& in, const Database& db) {
     } else {
       fail(line_number, "unknown keyword '" + keyword + "'");
     }
+    expect_line_end(fields, line_number);
   }
 
   if (!channels.has_value()) throw std::runtime_error("allocation: missing 'channels'");
-  if (bandwidth <= 0.0) throw std::runtime_error("allocation: missing 'bandwidth'");
+  if (!bandwidth.has_value()) throw std::runtime_error("allocation: missing 'bandwidth'");
   for (ItemId id = 0; id < db.size(); ++id) {
     if (!seen[id]) {
       throw std::runtime_error("allocation: item " + std::to_string(id) +
                                " never assigned");
     }
   }
-  return StoredAllocation{Allocation(db, *channels, std::move(assignment)), bandwidth};
+  return StoredAllocation{Allocation(db, *channels, std::move(assignment)), *bandwidth};
 }
 
 }  // namespace dbs

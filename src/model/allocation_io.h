@@ -8,8 +8,9 @@
 //   item 0 2        <- item 0 broadcasts on channel 2
 //   ...
 //
-// Lines starting with '#' and blank lines are ignored. Every item of the
-// database must be assigned exactly once.
+// Lines starting with '#' and blank lines are ignored. A line holds its
+// keyword's values and nothing else; `channels` and `bandwidth` appear once
+// each. Every item of the database must be assigned exactly once.
 #pragma once
 
 #include <istream>
@@ -30,9 +31,10 @@ struct StoredAllocation {
 void store_allocation(std::ostream& out, const Allocation& alloc, double bandwidth);
 
 /// \brief Parses an allocation against `db`. Throws std::runtime_error with a line
-/// number on malformed input, a channel count outside 1..N, unknown items,
-/// out-of-range channels, missing or duplicate assignments, or an item-count
-/// mismatch with `db`.
+/// number on malformed input (including anything after a line's values), a
+/// repeated `channels` or `bandwidth` line, a channel count outside 1..N,
+/// unknown items, out-of-range channels, missing or duplicate assignments,
+/// or an item-count mismatch with `db`.
 StoredAllocation load_allocation(std::istream& in, const Database& db);
 
 }  // namespace dbs

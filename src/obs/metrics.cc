@@ -5,6 +5,7 @@
 #include <cstdio>
 
 #include "common/check.h"
+#include "common/strings.h"
 
 namespace dbs::obs {
 
@@ -15,22 +16,6 @@ std::string json_number(double v) {
   char buf[64];
   std::snprintf(buf, sizeof buf, "%.17g", v);
   return buf;
-}
-
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      out.push_back(' ');
-    } else {
-      out.push_back(c);
-    }
-  }
-  return out;
 }
 
 }  // namespace
@@ -130,16 +115,13 @@ Gauge& MetricsRegistry::gauge(std::string_view name) {
 }
 
 Histogram& MetricsRegistry::histogram(std::string_view name) {
-  return histogram(name, Histogram::default_bounds());
-}
-
-Histogram& MetricsRegistry::histogram(std::string_view name, std::vector<double> bounds) {
   const MutexLock lock(mutex_);
   const auto it = histograms_.find(name);
   if (it != histograms_.end()) return *it->second;
   check_name(name, counters_.count(name) != 0 || gauges_.count(name) != 0);
   return *histograms_
-              .emplace(std::string(name), std::make_unique<Histogram>(std::move(bounds)))
+              .emplace(std::string(name),
+                       std::make_unique<Histogram>(Histogram::default_bounds()))
               .first->second;
 }
 
@@ -211,28 +193,6 @@ std::string to_json(const MetricsSnapshot& snapshot) {
     out += "]}";
   }
   out += "\n  ]\n}\n";
-  return out;
-}
-
-std::string to_text(const MetricsSnapshot& snapshot) {
-  std::string out;
-  char buf[160];
-  for (const CounterSample& c : snapshot.counters) {
-    std::snprintf(buf, sizeof buf, "counter    %-40s %llu\n", c.name.c_str(),
-                  static_cast<unsigned long long>(c.value));
-    out += buf;
-  }
-  for (const GaugeSample& g : snapshot.gauges) {
-    std::snprintf(buf, sizeof buf, "gauge      %-40s %.6g\n", g.name.c_str(), g.value);
-    out += buf;
-  }
-  for (const HistogramSample& h : snapshot.histograms) {
-    std::snprintf(buf, sizeof buf, "histogram  %-40s count=%llu sum=%.6g mean=%.6g\n",
-                  h.name.c_str(), static_cast<unsigned long long>(h.count), h.sum,
-                  h.count > 0 ? h.sum / static_cast<double>(h.count) : 0.0);
-    out += buf;
-  }
-  if (out.empty()) out = "(no instruments registered)\n";
   return out;
 }
 

@@ -133,10 +133,6 @@ class MetricsRegistry {
   /// Returns the histogram `name` with Histogram::default_bounds().
   Histogram& histogram(std::string_view name);
 
-  /// Returns the histogram `name`; `bounds` applies only on first creation
-  /// (later calls must not pass conflicting bounds).
-  Histogram& histogram(std::string_view name, std::vector<double> bounds);
-
   /// Copies every instrument's current value, sorted by name.
   MetricsSnapshot snapshot() const;
 
@@ -165,9 +161,6 @@ class MetricsRegistry {
 /// Renders a snapshot as pretty-printed JSON (schema "dbs-metrics-v1"), the
 /// format perfsuite --metrics-out writes and tools/obs_dump reads.
 std::string to_json(const MetricsSnapshot& snapshot);
-
-/// Renders a snapshot as aligned human-readable text (one instrument/line).
-std::string to_text(const MetricsSnapshot& snapshot);
 
 /// Writes to_json() to `path`; returns false when the file cannot be opened.
 bool write_json_file(const MetricsSnapshot& snapshot, const std::string& path);

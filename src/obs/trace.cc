@@ -4,6 +4,8 @@
 #include <functional>
 #include <thread>
 
+#include "common/strings.h"
+
 namespace dbs::obs {
 
 namespace {
@@ -13,22 +15,6 @@ std::uint32_t this_thread_tid() {
   static std::atomic<std::uint32_t> next{1};
   thread_local const std::uint32_t tid = next.fetch_add(1, std::memory_order_relaxed);
   return tid;
-}
-
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      out.push_back(' ');
-    } else {
-      out.push_back(c);
-    }
-  }
-  return out;
 }
 
 }  // namespace
@@ -47,18 +33,6 @@ void Tracer::record_complete(std::string_view name, double ts_us, double dur_us)
     return;
   }
   events_.push_back(TraceEvent{std::string(name), ts_us, dur_us, tid, 'X'});
-}
-
-void Tracer::instant(std::string_view name) {
-  if (!enabled()) return;
-  const double ts = now_us();
-  const std::uint32_t tid = this_thread_tid();
-  const MutexLock lock(mutex_);
-  if (events_.size() >= kMaxEvents) {
-    dropped_.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  events_.push_back(TraceEvent{std::string(name), ts, 0.0, tid, 'i'});
 }
 
 std::vector<TraceEvent> Tracer::events() const {
@@ -80,17 +54,10 @@ std::string Tracer::to_json() const {
     const TraceEvent& e = snapshot[i];
     out += i == 0 ? "\n" : ",\n";
     out += "  {\"name\": \"" + json_escape(e.name) + "\", ";
-    if (e.ph == 'X') {
-      std::snprintf(buf, sizeof buf,
-                    "\"ph\": \"X\", \"ts\": %.3f, \"dur\": %.3f, "
-                    "\"pid\": 1, \"tid\": %u}",
-                    e.ts_us, e.dur_us, e.tid);
-    } else {
-      std::snprintf(buf, sizeof buf,
-                    "\"ph\": \"%c\", \"ts\": %.3f, \"s\": \"t\", "
-                    "\"pid\": 1, \"tid\": %u}",
-                    e.ph, e.ts_us, e.tid);
-    }
+    std::snprintf(buf, sizeof buf,
+                  "\"ph\": \"X\", \"ts\": %.3f, \"dur\": %.3f, "
+                  "\"pid\": 1, \"tid\": %u}",
+                  e.ts_us, e.dur_us, e.tid);
     out += buf;
   }
   out += "\n]}\n";

@@ -1,7 +1,7 @@
 // Observability: scoped-span tracer emitting Chrome trace-event JSON
 // (DESIGN.md §10). The output loads directly in chrome://tracing or
 // Perfetto: {"traceEvents": [{"name", "ph", "ts", "dur", "pid", "tid"}, ...]}
-// with "X" (complete) events for spans and "i" (instant) events for marks.
+// with one "X" (complete) event per span.
 //
 // Tracing is off by default: a disabled ScopedSpan costs one relaxed atomic
 // load and never touches the clock, so spans can sit on hot paths
@@ -26,9 +26,9 @@ namespace dbs::obs {
 struct TraceEvent {
   std::string name;
   double ts_us = 0.0;   ///< start timestamp, µs since tracer construction
-  double dur_us = 0.0;  ///< duration (complete events only)
+  double dur_us = 0.0;  ///< duration
   std::uint32_t tid = 0;
-  char ph = 'X';  ///< 'X' complete span, 'i' instant mark
+  char ph = 'X';  ///< Chrome event phase: 'X', a complete span
 };
 
 /// Append-only, mutex-guarded event sink with a hard cap (events past the
@@ -47,9 +47,6 @@ class Tracer {
 
   /// Records a completed span ('X'). No-op while disabled.
   void record_complete(std::string_view name, double ts_us, double dur_us);
-
-  /// Records an instant event ('i') at the current time. No-op while disabled.
-  void instant(std::string_view name);
 
   /// Copy of everything recorded so far.
   std::vector<TraceEvent> events() const;

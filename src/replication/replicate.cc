@@ -8,6 +8,10 @@
 namespace dbs {
 namespace {
 
+// Wait reduction a copy must bring to be added; smaller gains are
+// floating-point noise, not an improvement.
+constexpr double kMinGain = 1e-9;
+
 /// Incremental analytic evaluator over a mutable placement. Keeps per-channel
 /// cycle times and per-item copy sets; recomputes only what a candidate copy
 /// touches.
@@ -128,7 +132,7 @@ ReplicationResult replicate_greedy(const Allocation& alloc, double bandwidth,
         }
       }
     }
-    if (!have || best_delta > -options.min_gain) break;
+    if (!have || best_delta > -kMinGain) break;
     eval.apply_copy(best_item, best_channel);
     ++result.copies_added;
   }

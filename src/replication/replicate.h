@@ -18,7 +18,6 @@ namespace dbs {
 struct ReplicationOptions {
   std::size_t max_copies_per_item = 2;  ///< including the original placement
   std::size_t max_total_copies = 64;    ///< extra copies added overall
-  double min_gain = 1e-9;               ///< required wait reduction per copy
 };
 
 /// Result of the greedy replication pass.
@@ -29,7 +28,8 @@ struct ReplicationResult {
   std::size_t copies_added = 0;
 };
 
-/// Runs greedy replication starting from the partition `alloc`. The analytic
+/// Runs greedy replication starting from the partition `alloc`, adding the
+/// best copy while it cuts the analytic wait by more than 1e-9. The analytic
 /// model treats copy phases as independent uniform offsets — exact for
 /// incommensurate cycle lengths and an approximation when two channels have
 /// (nearly) identical cycles.

@@ -24,7 +24,7 @@ ProgramSnapshot::ProgramSnapshot(Database database, ChannelId channels,
 BroadcastServerLoop::BroadcastServerLoop(std::vector<double> item_sizes,
                                          const ServerLoopConfig& config)
     : config_(config), sizes_(std::move(item_sizes)),
-      tracker_(sizes_.size(), config.tracker_decay, kLaplaceAlpha) {
+      tracker_(sizes_.size(), config.tracker_decay) {
   DBS_CHECK(config.bandwidth > 0.0);
   DBS_CHECK_MSG(config.channels <= sizes_.size(),
                 "cannot fill more channels than items");

@@ -8,8 +8,7 @@
 
 namespace dbs {
 
-BroadcastProgram::BroadcastProgram(const Allocation& alloc, double bandwidth,
-                                   SlotOrdering ordering)
+BroadcastProgram::BroadcastProgram(const Allocation& alloc, double bandwidth)
     : bandwidth_(bandwidth), item_channel_(alloc.assignment()) {
   DBS_CHECK(bandwidth > 0.0);
   const Database& db = alloc.database();
@@ -19,25 +18,11 @@ BroadcastProgram::BroadcastProgram(const Allocation& alloc, double bandwidth,
     schedules_[c].slots.reserve(alloc.channel_counts()[c]);
   }
   item_slot_index_.resize(db.size());
-  auto append = [&](ItemId id) {
+  // One pass in id order lists every channel by ascending id.
+  for (ItemId id = 0; id < db.size(); ++id) {
     std::vector<Slot>& slots = schedules_[item_channel_[id]].slots;
     item_slot_index_[id] = static_cast<std::uint32_t>(slots.size());
     slots.push_back(Slot{id, 0.0, sizes[id] / bandwidth_});
-  };
-
-  // One pass over a catalogue-wide order lists every channel in that order.
-  // Both sorted orders break ties by id, so each channel comes out exactly
-  // as a stable sort of its own ids would put it.
-  switch (ordering) {
-    case SlotOrdering::kById:
-      for (ItemId id = 0; id < db.size(); ++id) append(id);
-      break;
-    case SlotOrdering::kByFreqDesc:
-      for (const ItemId id : db.ids_by_freq_desc()) append(id);
-      break;
-    case SlotOrdering::kByBenefitRatioDesc:
-      for (const ItemId id : db.benefit_order()) append(id);
-      break;
   }
 
   for (ChannelSchedule& sched : schedules_) {

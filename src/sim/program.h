@@ -12,16 +12,6 @@
 
 namespace dbs {
 
-/// How items are ordered inside a channel's cycle. The analytic waiting-time
-/// model (Eq. 1/2) is order-independent — only the cycle length matters — but
-/// a concrete program must pick one; tests exercise several to confirm the
-/// order-independence empirically.
-enum class SlotOrdering {
-  kById,               ///< ascending item id (deterministic default)
-  kByFreqDesc,         ///< most popular first
-  kByBenefitRatioDesc, ///< paper's dimension-reduction order
-};
-
 /// One transmission slot within a channel cycle.
 struct Slot {
   ItemId item = 0;
@@ -31,16 +21,18 @@ struct Slot {
 
 /// Per-channel cyclic schedule.
 struct ChannelSchedule {
-  std::vector<Slot> slots;   ///< in transmission order
+  std::vector<Slot> slots;   ///< in transmission order: ascending item id
   double cycle_time = 0.0;   ///< Σ durations = Z_i / b
 };
 
-/// A complete broadcast program over K channels of equal bandwidth b.
+/// A complete broadcast program over K channels of equal bandwidth b. Each
+/// channel transmits its items by ascending id. The analytic waiting-time
+/// model (Eq. 1/2) is order-independent — only the cycle length matters —
+/// so any fixed order serves; this one needs no sort.
 class BroadcastProgram {
  public:
   /// Builds the program from an allocation. Requires bandwidth > 0.
-  BroadcastProgram(const Allocation& alloc, double bandwidth,
-                   SlotOrdering ordering = SlotOrdering::kById);
+  BroadcastProgram(const Allocation& alloc, double bandwidth);
 
   ChannelId channels() const { return static_cast<ChannelId>(schedules_.size()); }
   double bandwidth() const { return bandwidth_; }

@@ -1,7 +1,9 @@
 #include "workload/catalog_io.h"
 
 #include <cctype>
+#include <cerrno>
 #include <cmath>
+#include <cstdlib>
 #include <fstream>
 #include <limits>
 #include <sstream>
@@ -35,19 +37,25 @@ std::vector<std::string> split_fields(const std::string& line) {
 
 double parse_number(const std::string& field, std::size_t line_number,
                     const char* what) {
-  try {
-    std::size_t used = 0;
-    const double value = std::stod(field, &used);
-    if (used != field.size()) fail(line_number, std::string("trailing junk in ") + what);
-    if (!std::isfinite(value)) {
-      fail(line_number, std::string("non-finite ") + what + " '" + field + "'");
-    }
-    return value;
-  } catch (const std::invalid_argument&) {
+  const char* begin = field.c_str();
+  char* end = nullptr;
+  errno = 0;
+  const double value = std::strtod(begin, &end);
+  if (end == begin) {
     fail(line_number, std::string("non-numeric ") + what + " '" + field + "'");
-  } catch (const std::out_of_range&) {
+  }
+  if (end != begin + field.size()) {
+    fail(line_number, std::string("trailing junk in ") + what);
+  }
+  // strtod flags ERANGE on overflow and on any underflow. A subnormal result
+  // is kept: it is exactly what store_catalog writes for a subnormal value.
+  if (errno == ERANGE && (value == 0.0 || std::isinf(value))) {
     fail(line_number, std::string("out-of-range ") + what + " '" + field + "'");
   }
+  if (!std::isfinite(value)) {
+    fail(line_number, std::string("non-finite ") + what + " '" + field + "'");
+  }
+  return value;
 }
 
 }  // namespace

@@ -28,7 +28,8 @@ struct Catalog {
 /// Parses a catalogue from a stream. Throws std::runtime_error with the
 /// offending line number on malformed input (bad field count, non-numeric,
 /// non-finite or non-positive size, non-numeric, non-finite or negative
-/// frequency).
+/// frequency, or a number that overflows or underflows to zero). Subnormal
+/// values load as written.
 Catalog load_catalog(std::istream& in);
 
 /// Loads a catalogue from a file path. Throws std::runtime_error if the file

@@ -23,13 +23,10 @@ std::vector<double> estimate_frequencies(const std::vector<Request>& window,
   return counts;
 }
 
-DecayedFrequencyTracker::DecayedFrequencyTracker(std::size_t items, double decay,
-                                                 double alpha)
-    : decay_(decay), alpha_(alpha), counts_(items, 0.0) {
+DecayedFrequencyTracker::DecayedFrequencyTracker(std::size_t items, double decay)
+    : decay_(decay), counts_(items, 0.0) {
   DBS_CHECK(items > 0);
   DBS_CHECK_MSG(decay > 0.0 && decay <= 1.0, "decay must lie in (0, 1]");
-  DBS_CHECK_MSG(alpha > 0.0,
-                "decayed counts need positive smoothing mass to stay defined");
 }
 
 void DecayedFrequencyTracker::observe(const std::vector<Request>& window) {
@@ -52,9 +49,10 @@ std::vector<double> DecayedFrequencyTracker::frequencies() const {
   // by mass + alpha·N) so the ρ = 1 single-window case is bit-identical to
   // the batch estimator.
   std::vector<double> freqs(counts_.size());
-  const double total = total_ + alpha_ * static_cast<double>(counts_.size());
+  const double total =
+      total_ + kLaplaceAlpha * static_cast<double>(counts_.size());
   for (std::size_t i = 0; i < counts_.size(); ++i) {
-    freqs[i] = (counts_[i] + alpha_) / total;
+    freqs[i] = (counts_[i] + kLaplaceAlpha) / total;
   }
   return freqs;
 }

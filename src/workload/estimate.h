@@ -25,7 +25,7 @@ std::vector<double> estimate_frequencies(const std::vector<Request>& window,
 /// (DESIGN.md §12). It keeps one decayed count per item,
 ///     c_i ← ρ·c_i + (requests for i in the window),
 /// and normalizes with Laplace smoothing only when frequencies() is read:
-///     f_i = (c_i + α) / (C + α·N),  C = Σ c_i.
+///     f_i = (c_i + α) / (C + α·N),  C = Σ c_i,  α = kLaplaceAlpha.
 /// Working on raw counts makes the fold order-independent within a window
 /// (each request is an independent `+= 1.0`), weighs windows by how much
 /// traffic they actually carried, and with ρ = 1 over a single window is
@@ -33,11 +33,14 @@ std::vector<double> estimate_frequencies(const std::vector<Request>& window,
 /// locked in by estimate_test.
 class DecayedFrequencyTracker {
  public:
+  /// Laplace smoothing mass per item (the add-one rule): every item keeps
+  /// a positive frequency, so it stays on air before anyone requests it,
+  /// and one pseudo-request per item is small next to a window's traffic.
+  static constexpr double kLaplaceAlpha = 1.0;
+
   /// \brief Starts from zero counts (frequencies() is uniform until the
-  /// first window). Requires items > 0, 0 < decay ≤ 1 and alpha > 0 (the
-  /// smoothing mass is what keeps the estimate defined before any traffic).
-  explicit DecayedFrequencyTracker(std::size_t items, double decay = 0.5,
-                                   double alpha = 1.0);
+  /// first window). Requires items > 0 and 0 < decay ≤ 1.
+  explicit DecayedFrequencyTracker(std::size_t items, double decay = 0.5);
 
   /// \brief Decays the carried counts by `decay`, then folds the window in.
   /// A window naming an unknown item throws ContractViolation before any
@@ -62,7 +65,6 @@ class DecayedFrequencyTracker {
 
  private:
   double decay_;
-  double alpha_;
   std::vector<double> counts_;
   double total_ = 0.0;  // Σ counts_, maintained incrementally
   std::size_t windows_ = 0;

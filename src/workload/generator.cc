@@ -32,16 +32,14 @@ double sample_item_size_model(Rng& rng, const WorkloadConfig& config) {
     case SizeModel::kUniformExponent:
       return sample_item_size(rng, config.diversity);
     case SizeModel::kLognormal: {
-      DBS_CHECK(config.lognormal_sigma >= 0.0);
       const double exponent = config.diversity / 2.0 +
-                              config.lognormal_sigma * sample_standard_normal(rng);
+                              kLognormalSigma * sample_standard_normal(rng);
       // Clamp to a sane positive range so a deep tail draw cannot produce a
       // subnormal or astronomically large object.
       return std::pow(10.0, std::clamp(exponent, -1.0, config.diversity + 1.0));
     }
     case SizeModel::kBimodal: {
-      DBS_CHECK(config.bimodal_media_share >= 0.0 && config.bimodal_media_share <= 1.0);
-      if (rng.chance(config.bimodal_media_share)) {
+      if (rng.chance(kBimodalMediaShare)) {
         return std::pow(10.0, rng.uniform(0.75 * config.diversity, config.diversity));
       }
       return std::pow(10.0, rng.uniform(0.0, 0.25 * config.diversity));
@@ -60,14 +58,12 @@ Database generate_database(const WorkloadConfig& config) {
   std::vector<double> sizes(config.items);
   for (double& size : sizes) size = sample_item_size_model(rng, config);
 
-  if (config.shuffle_ranks) {
-    // Fisher–Yates over the items, swapping both columns with the same draw,
-    // so that frequency rank is independent of input position.
-    for (std::size_t i = config.items; i > 1; --i) {
-      const std::size_t j = static_cast<std::size_t>(rng.below(i));
-      std::swap(freqs[i - 1], freqs[j]);
-      std::swap(sizes[i - 1], sizes[j]);
-    }
+  // Fisher–Yates over the items, swapping both columns with the same draw,
+  // so that frequency rank is independent of input position.
+  for (std::size_t i = config.items; i > 1; --i) {
+    const std::size_t j = static_cast<std::size_t>(rng.below(i));
+    std::swap(freqs[i - 1], freqs[j]);
+    std::swap(sizes[i - 1], sizes[j]);
   }
 
   return Database(std::move(sizes), std::move(freqs));

@@ -69,32 +69,45 @@ TEST(AllocationIo, RequiresHeaderBeforeItems) {
 }
 
 TEST(AllocationIo, RejectsUnknownKeywordAndBadValues) {
-  const Database db({1.0}, {1.0});
+  const Database one({1.0}, {1.0});
+  const Database two({1.0, 2.0}, {0.5, 0.5});
   // Each file fails on the line given next to it. The channel counts cover
   // what a narrowing or unsigned parse would let through: 2^32 + 1 wraps to
   // 1 channel, 2^32 to 0, 12345678901 to about 3.8e9, and "-1" to 2^64 - 1.
-  // A count above N = 1 would leave a channel empty.
+  // A count above N = 1 would leave a channel empty. The two-item files
+  // would load as a prefix of a line (item 0 onto channel 1, K = 2,
+  // b = 5), or, for the second 'channels', fail unnumbered in the
+  // Allocation constructor, if the loader ignored the rest of a line or
+  // read a header line twice.
   const struct {
+    const Database& db;
     const char* text;
     const char* line;
   } cases[] = {
-      {"wibble 3\n", "line 1"},
-      {"# v1\nchannels 0\n", "line 2"},
-      {"# v1\nchannels 4294967297\nbandwidth 5\nitem 0 0\n", "line 2"},
-      {"# v1\nchannels 4294967296\nbandwidth 5\nitem 0 0\n", "line 2"},
-      {"# v1\nchannels 12345678901\nbandwidth 5\nitem 0 0\n", "line 2"},
-      {"# v1\nchannels -1\nbandwidth 5\nitem 0 0\n", "line 2"},
-      {"# v1\nchannels 2\nbandwidth 5\nitem 0 0\n", "line 2"},
-      {"channels 1\nbandwidth -2\nitem 0 0\n", "line 2"},
-      {"channels 1\nbandwidth 5\nitem -1 0\n", "line 3"},
-      {"channels 1\nbandwidth 5\nitem 0 -1\n", "line 3"},
-      {"channels 1\nbandwidth 5\nitem 4294967296 0\n", "line 3"},
-      {"channels 1\nbandwidth 5\nitem 0 4294967296\n", "line 3"},
+      {one, "wibble 3\n", "line 1"},
+      {one, "# v1\nchannels 0\n", "line 2"},
+      {one, "# v1\nchannels 4294967297\nbandwidth 5\nitem 0 0\n", "line 2"},
+      {one, "# v1\nchannels 4294967296\nbandwidth 5\nitem 0 0\n", "line 2"},
+      {one, "# v1\nchannels 12345678901\nbandwidth 5\nitem 0 0\n", "line 2"},
+      {one, "# v1\nchannels -1\nbandwidth 5\nitem 0 0\n", "line 2"},
+      {one, "# v1\nchannels 2\nbandwidth 5\nitem 0 0\n", "line 2"},
+      {one, "channels 1\nbandwidth -2\nitem 0 0\n", "line 2"},
+      {one, "channels 1\nbandwidth 5\nitem -1 0\n", "line 3"},
+      {one, "channels 1\nbandwidth 5\nitem 0 -1\n", "line 3"},
+      {one, "channels 1\nbandwidth 5\nitem 4294967296 0\n", "line 3"},
+      {one, "channels 1\nbandwidth 5\nitem 0 4294967296\n", "line 3"},
+      {two, "channels 2\nbandwidth 5\nitem 0 1.9\nitem 1 0\n", "line 3"},
+      {two, "channels 2.7\nbandwidth 5\nitem 0 1\nitem 1 0\n", "line 1"},
+      {two, "channels 2\nbandwidth 5x\nitem 0 1\nitem 1 0\n", "line 2"},
+      {two, "channels 2\nbandwidth 5\nitem 0 1\nitem 1 0\nchannels 1\n", "line 5"},
+      {two, "channels 2\nbandwidth 5\nbandwidth 6\nitem 0 1\nitem 1 0\n", "line 3"},
+      {two, "channels 2 2\nbandwidth 5\nitem 0 1\nitem 1 0\n", "line 1"},
+      {two, "channels 2\nbandwidth 5\nitem 0 1 0\nitem 1 0\n", "line 3"},
   };
   for (const auto& c : cases) {
     std::istringstream in(c.text);
     try {
-      load_allocation(in, db);
+      load_allocation(in, c.db);
       ADD_FAILURE() << "accepted: " << c.text;
     } catch (const std::runtime_error& e) {
       EXPECT_NE(std::string(e.what()).find(c.line), std::string::npos)

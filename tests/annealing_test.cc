@@ -65,17 +65,6 @@ TEST(Annealing, CompetitiveWithDrpCds) {
   EXPECT_LT(r.cost, 1.10 * heuristic);
 }
 
-TEST(Annealing, RandomStartAlsoWorks) {
-  const Database db = generate_database({.items = 60, .diversity = 2.0, .seed = 5});
-  AnnealOptions o = quick_anneal();
-  o.start_from_greedy = false;
-  const AnnealResult r = run_annealing(db, 5, o);
-  std::string error;
-  EXPECT_TRUE(r.allocation.validate(&error)) << error;
-  // Must end far below the expected random-assignment cost.
-  EXPECT_LT(r.cost, flat_round_robin(db, 5).cost());
-}
-
 TEST(Annealing, SingleChannelTrivial) {
   const Database db = generate_database({.items = 8, .seed = 6});
   const AnnealResult r = run_annealing(db, 1, quick_anneal());
@@ -85,12 +74,7 @@ TEST(Annealing, SingleChannelTrivial) {
 
 TEST(Annealing, RejectsBadOptions) {
   const Database db = generate_database({.items = 8, .seed = 7});
-  AnnealOptions bad = quick_anneal();
-  bad.initial_temperature = 0.0;
-  EXPECT_THROW(run_annealing(db, 2, bad), ContractViolation);
-  bad = quick_anneal();
-  bad.cooling = 1.5;
-  EXPECT_THROW(run_annealing(db, 2, bad), ContractViolation);
+  EXPECT_THROW(run_annealing(db, 0, quick_anneal()), ContractViolation);
   EXPECT_THROW(run_annealing(db, 9, quick_anneal()), ContractViolation);
 }
 

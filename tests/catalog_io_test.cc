@@ -41,7 +41,8 @@ TEST(CatalogIo, HeaderIsOptional) {
 
 TEST(CatalogIo, RejectsMalformedLines) {
   for (const char* bad : {"1", "1,2,3,4", "abc,0.5", "1.5x,0.5", "-2,0.5", "2,-0.5",
-                          "nan,0.5", "inf,0.5", "-inf,0.5", "2,nan", "2,inf", "2,-inf"}) {
+                          "nan,0.5", "inf,0.5", "-inf,0.5", "2,nan", "2,inf", "2,-inf",
+                          "1e400,0.5", "2,1e400", "1e-400,0.5", "2,1e-400"}) {
     std::istringstream in(std::string(bad) + "\n");
     EXPECT_THROW(load_catalog(in), std::runtime_error) << bad;
   }
@@ -97,8 +98,23 @@ TEST(CatalogIo, StoreLoadRoundTrip) {
   }
   EXPECT_EQ(changed_sizes, 0u);
   EXPECT_LE(freq_drift, 1e-15);
+
   const double cost = run_drp_cds(generated.database, 10).allocation.cost();
   EXPECT_LE(std::abs(run_drp_cds(big, 10).allocation.cost() / cost - 1.0), 1e-15);
+
+  // Subnormal values: Database accepts a size of 1e-310, and normalising a
+  // frequency of 1e-310 against 1 keeps it subnormal, so the stored file
+  // holds subnormal text that must load back.
+  const Catalog tiny{Database({1.0, 1e-310}, {1.0, 1e-310}), {}};
+  std::ostringstream tiny_out;
+  store_catalog(tiny_out, tiny);
+  std::istringstream tiny_in(tiny_out.str());
+  const Database tiny_back = load_catalog(tiny_in).database;
+  ASSERT_EQ(tiny_back.size(), 2u);
+  for (ItemId id = 0; id < 2; ++id) {
+    EXPECT_EQ(tiny_back.item(id).size, tiny.database.item(id).size) << "item " << id;
+    EXPECT_EQ(tiny_back.item(id).freq, tiny.database.item(id).freq) << "item " << id;
+  }
 }
 
 TEST(CatalogIo, StoreRejectsNamesTheLoaderWouldSplit) {

@@ -113,7 +113,7 @@ TEST(QueryLatency, EvaluateAggregatesConsistently) {
   const BroadcastProgram program(alloc, 10.0);
   const QueryWorkload workload =
       generate_query_workload(db, {.queries = 25, .max_items = 3, .seed = 10});
-  const QueryLatencyReport report = evaluate_query_workload(program, workload, 32);
+  const QueryLatencyReport report = evaluate_query_workload(program, workload);
   EXPECT_GT(report.parallel, 0.0);
   EXPECT_GE(report.sequential, report.parallel - 1e-9);
 }
@@ -123,8 +123,7 @@ TEST(QueryLatency, ScheduledProgramBeatsFlatForQueriesToo) {
   const Database db = generate_database({.items = 60, .skewness = 1.0,
                                          .diversity = 2.0, .seed = 11});
   const QueryWorkload workload =
-      generate_query_workload(db, {.queries = 50, .max_items = 3,
-                                   .item_skewness = 1.2, .seed = 12});
+      generate_query_workload(db, {.queries = 50, .max_items = 3, .seed = 12});
   // Re-weight the database by induced frequencies, then schedule.
   std::vector<double> sizes;
   for (const Item& it : db.items()) sizes.push_back(it.size);

@@ -44,8 +44,7 @@ TEST(Estimate, EmptyWindowWithSmoothingIsUniform) {
 }
 
 TEST(Estimate, ConvergesToTrueFrequencies) {
-  const Database db = generate_database(
-      {.items = 20, .skewness = 1.0, .seed = 1, .shuffle_ranks = false});
+  const Database db = generate_database({.items = 20, .skewness = 1.0, .seed = 1});
   const auto trace = generate_trace(db, {.requests = 200000, .seed = 2});
   const auto f = estimate_frequencies(trace, db.size(), 1.0);
   for (ItemId id = 0; id < db.size(); ++id) {
@@ -76,16 +75,15 @@ TEST(DecayedTracker, NoDecaySingleWindowIsBitIdenticalToBatch) {
   // With ρ = 1 (no forgetting) a single window's decayed counts are exactly
   // the batch counts, and frequencies() uses the same (count+α)/(mass+αN)
   // arithmetic — so the result must match estimate_frequencies bit for bit.
-  for (double alpha : {0.5, 1.0, 2.0}) {
-    const auto window = random_window(17, 400, 21);
-    DecayedFrequencyTracker tracker(17, /*decay=*/1.0, alpha);
-    tracker.observe(window);
-    const auto streamed = tracker.frequencies();
-    const auto batch = estimate_frequencies(window, 17, alpha);
-    ASSERT_EQ(streamed.size(), batch.size());
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      EXPECT_EQ(streamed[i], batch[i]) << "item " << i << " alpha " << alpha;
-    }
+  const auto window = random_window(17, 400, 21);
+  DecayedFrequencyTracker tracker(17, /*decay=*/1.0);
+  tracker.observe(window);
+  const auto streamed = tracker.frequencies();
+  const auto batch =
+      estimate_frequencies(window, 17, DecayedFrequencyTracker::kLaplaceAlpha);
+  ASSERT_EQ(streamed.size(), batch.size());
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    EXPECT_EQ(streamed[i], batch[i]) << "item " << i;
   }
 }
 
@@ -95,18 +93,18 @@ TEST(DecayedTracker, CountsAreOrderIndependentWithinAWindow) {
   // on top of non-integer carried-over decayed counts.
   auto window = random_window(11, 300, 22);
   const auto prefix = random_window(11, 150, 23);
-  DecayedFrequencyTracker forward(11, 0.7, 1.0);
+  DecayedFrequencyTracker forward(11, 0.7);
   forward.observe(prefix);
   forward.observe(window);
   std::reverse(window.begin(), window.end());
-  DecayedFrequencyTracker reversed(11, 0.7, 1.0);
+  DecayedFrequencyTracker reversed(11, 0.7);
   reversed.observe(prefix);
   reversed.observe(window);
   Rng rng(24);
   for (std::size_t i = window.size(); i > 1; --i) {
     std::swap(window[i - 1], window[rng.below(i)]);
   }
-  DecayedFrequencyTracker shuffled(11, 0.7, 1.0);
+  DecayedFrequencyTracker shuffled(11, 0.7);
   shuffled.observe(prefix);
   shuffled.observe(window);
   for (std::size_t i = 0; i < 11; ++i) {
@@ -120,7 +118,7 @@ TEST(DecayedTracker, CountsAreOrderIndependentWithinAWindow) {
 TEST(DecayedTracker, DecayDiscountsOldWindows) {
   // Two windows of equal volume on disjoint items: with decay ρ the older
   // window's count is exactly ρ · volume, the newer one's is the volume.
-  DecayedFrequencyTracker tracker(2, 0.25, 1.0);
+  DecayedFrequencyTracker tracker(2, 0.25);
   tracker.observe({{0.0, 0}, {1.0, 0}, {2.0, 0}, {3.0, 0}});
   tracker.observe({{4.0, 1}, {5.0, 1}, {6.0, 1}, {7.0, 1}});
   EXPECT_DOUBLE_EQ(tracker.counts()[0], 1.0);  // 4 · 0.25
@@ -130,7 +128,7 @@ TEST(DecayedTracker, DecayDiscountsOldWindows) {
 }
 
 TEST(DecayedTracker, EffectiveWindowsFollowsGeometricSum) {
-  DecayedFrequencyTracker tracker(3, 0.5, 1.0);
+  DecayedFrequencyTracker tracker(3, 0.5);
   EXPECT_DOUBLE_EQ(tracker.effective_windows(), 0.0);
   const std::vector<Request> window = {{0.0, 0}};
   tracker.observe(window);
@@ -140,14 +138,14 @@ TEST(DecayedTracker, EffectiveWindowsFollowsGeometricSum) {
   tracker.observe(window);
   EXPECT_DOUBLE_EQ(tracker.effective_windows(), 1.75);
 
-  DecayedFrequencyTracker no_decay(3, 1.0, 1.0);
+  DecayedFrequencyTracker no_decay(3, 1.0);
   no_decay.observe(window);
   no_decay.observe(window);
   EXPECT_DOUBLE_EQ(no_decay.effective_windows(), 2.0);
 }
 
 TEST(DecayedTracker, FrequenciesStayNormalizedAndPositive) {
-  DecayedFrequencyTracker tracker(5, 0.6, 0.5);
+  DecayedFrequencyTracker tracker(5, 0.6);
   for (double v : tracker.frequencies()) EXPECT_DOUBLE_EQ(v, 0.2);  // uniform start
   for (int w = 0; w < 8; ++w) {
     tracker.observe(random_window(5, 40, 30 + static_cast<std::uint64_t>(w)));
@@ -160,7 +158,7 @@ TEST(DecayedTracker, FrequenciesStayNormalizedAndPositive) {
 TEST(DecayedTracker, RejectedWindowLeavesTheEstimateUnchanged) {
   // The bad window's valid prefix must not be folded in, nor the carried
   // counts decayed: a rejected window is as if it never arrived.
-  DecayedFrequencyTracker tracker(3, 0.5, 1.0);
+  DecayedFrequencyTracker tracker(3, 0.5);
   tracker.observe({{0.0, 0}, {1.0, 0}, {2.0, 1}});
   const std::vector<double> counts = tracker.counts();
   const std::vector<double> freqs = tracker.frequencies();
@@ -175,11 +173,10 @@ TEST(DecayedTracker, RejectedWindowLeavesTheEstimateUnchanged) {
 }
 
 TEST(DecayedTracker, RejectsBadConfig) {
-  EXPECT_THROW(DecayedFrequencyTracker(0, 0.5, 1.0), ContractViolation);
-  EXPECT_THROW(DecayedFrequencyTracker(3, 0.0, 1.0), ContractViolation);
-  EXPECT_THROW(DecayedFrequencyTracker(3, 1.5, 1.0), ContractViolation);
-  EXPECT_THROW(DecayedFrequencyTracker(3, 0.5, 0.0), ContractViolation);
-  DecayedFrequencyTracker tracker(3, 0.5, 1.0);
+  EXPECT_THROW(DecayedFrequencyTracker(0, 0.5), ContractViolation);
+  EXPECT_THROW(DecayedFrequencyTracker(3, 0.0), ContractViolation);
+  EXPECT_THROW(DecayedFrequencyTracker(3, 1.5), ContractViolation);
+  DecayedFrequencyTracker tracker(3, 0.5);
   EXPECT_THROW(tracker.observe({{0.0, 7}}), ContractViolation);
 }
 

@@ -14,6 +14,8 @@
 #include <thread>
 #include <vector>
 
+#include "common/parallel.h"
+
 namespace dbs::bench {
 namespace {
 
@@ -93,8 +95,9 @@ TEST(Harness, OversizedPoolAndAutoDetectAreSafe) {
   EXPECT_EQ(serial.waiting_time, automatic.waiting_time);
 }
 
-// --- run_trials failure-path contract (ISSUE 6 satellite) -----------------
-// A trial that throws must propagate out of run_trials on the calling
+// --- run_tasks failure-path contract --------------------------------------
+// measure_trials runs its trials on the run_tasks pool (common/parallel.h).
+// A trial that throws must propagate out of run_tasks on the calling
 // thread, after every worker has been joined — never std::terminate() a
 // worker, never deadlock the pool, never leak a joinable thread (the leak
 // would abort the test process at thread destruction).
@@ -102,7 +105,7 @@ TEST(Harness, OversizedPoolAndAutoDetectAreSafe) {
 TEST(RunTrials, ExecutesEveryTrialExactlyOnce) {
   constexpr std::size_t kTrials = 64;
   std::vector<std::atomic<int>> executions(kTrials);
-  run_trials(kTrials, 4, [&](std::size_t trial) {
+  run_tasks(kTrials, 4, [&](std::size_t trial) {
     executions[trial].fetch_add(1);
   });
   for (std::size_t trial = 0; trial < kTrials; ++trial) {
@@ -112,20 +115,20 @@ TEST(RunTrials, ExecutesEveryTrialExactlyOnce) {
 
 TEST(RunTrials, ThrowingTrialPropagatesFromParallelPool) {
   EXPECT_THROW(
-      run_trials(16, 4,
-                 [](std::size_t trial) {
-                   if (trial == 3) throw std::runtime_error("trial 3 boom");
-                 }),
+      run_tasks(16, 4,
+                [](std::size_t trial) {
+                  if (trial == 3) throw std::runtime_error("trial 3 boom");
+                }),
       std::runtime_error);
 }
 
 TEST(RunTrials, ThrowingTrialPropagatesFromSerialPath) {
   std::size_t executed = 0;
-  EXPECT_THROW(run_trials(8, 1,
-                          [&](std::size_t trial) {
-                            ++executed;
-                            if (trial == 2) throw std::logic_error("serial boom");
-                          }),
+  EXPECT_THROW(run_tasks(8, 1,
+                         [&](std::size_t trial) {
+                           ++executed;
+                           if (trial == 2) throw std::logic_error("serial boom");
+                         }),
                std::logic_error);
   // Serial execution is in trial order, so the failure cuts the run short.
   EXPECT_EQ(executed, 3u);
@@ -135,31 +138,31 @@ TEST(RunTrials, PoolStopsClaimingNewTrialsAfterFailure) {
   constexpr std::size_t kTrials = 64;
   std::atomic<std::size_t> executed{0};
   EXPECT_THROW(
-      run_trials(kTrials, 2,
-                 [&](std::size_t trial) {
-                   executed.fetch_add(1);
-                   if (trial == 0) throw std::runtime_error("first trial boom");
-                   // Slow survivors down so the cancellation flag is visible
-                   // before the other worker can drain the whole range.
-                   std::this_thread::sleep_for(std::chrono::milliseconds(2));
-                 }),
+      run_tasks(kTrials, 2,
+                [&](std::size_t trial) {
+                  executed.fetch_add(1);
+                  if (trial == 0) throw std::runtime_error("first trial boom");
+                  // Slow survivors down so the cancellation flag is visible
+                  // before the other worker can drain the whole range.
+                  std::this_thread::sleep_for(std::chrono::milliseconds(2));
+                }),
       std::runtime_error);
   // The failing trial plus whatever was in flight — but nowhere near the
-  // full range, and no worker is left running (run_trials joined them all
+  // full range, and no worker is left running (run_tasks joined them all
   // before rethrowing, or this counter would still be moving).
   EXPECT_LT(executed.load(), kTrials);
   const std::size_t settled = executed.load();
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_EQ(executed.load(), settled) << "a worker outlived run_trials";
+  EXPECT_EQ(executed.load(), settled) << "a worker outlived run_tasks";
 }
 
 TEST(RunTrials, FirstExceptionWinsWhenSeveralTrialsThrow) {
   // Every trial throws; exactly one exception must come out and it must be
   // one of the thrown types (not a terminate, not a mixed/corrupted state).
-  EXPECT_THROW(run_trials(32, 4,
-                          [](std::size_t) {
-                            throw std::runtime_error("every trial throws");
-                          }),
+  EXPECT_THROW(run_tasks(32, 4,
+                         [](std::size_t) {
+                           throw std::runtime_error("every trial throws");
+                         }),
                std::runtime_error);
 }
 

@@ -12,6 +12,7 @@
 #include "baselines/brute_force.h"
 #include "baselines/ordered_dp.h"
 #include "common/check.h"
+#include "common/deadline.h"
 #include "common/rng.h"
 #include "core/drp_cds.h"
 #include "core/kk_partition.h"
@@ -202,18 +203,29 @@ TEST(Portfolio, NeverLosesToDrpCdsAlone) {
 }
 
 TEST(Portfolio, DeterministicAcrossThreadCountsAndRuns) {
+  // The race runs one worker per racer. Each racer run alone on the calling
+  // thread is the serial reference: every race must match it bit for bit.
   const Database db = generate_database({.items = 60, .skewness = 0.8,
                                          .diversity = 1.5, .seed = 51});
   PortfolioOptions options;
   options.gopt = small_gopt();
-  options.threads = 1;  // sequential on the calling thread
-  const PortfolioResult serial = plan(db, 4, kGenerousDeadlineMs, options);
-  options.threads = 3;  // one worker per racer
+  Allocation kk = kk_seed_allocation(db, 4);
+  run_cds(kk);
+  // An armed deadline skips GOPT's ordered-DP seed, as it does in the race.
+  GoptOptions gopt = small_gopt();
+  gopt.deadline = Deadline::after_ms(kGenerousDeadlineMs);
+  const std::vector<Allocation> serial = {run_drp_cds(db, 4).allocation,
+                                          std::move(kk),
+                                          run_gopt(db, 4, gopt).allocation};
   for (int run = 0; run < 2; ++run) {
     const PortfolioResult raced = plan(db, 4, kGenerousDeadlineMs, options);
-    EXPECT_EQ(raced.winner, serial.winner);
-    EXPECT_EQ(raced.cost, serial.cost);  // bit-identical, not just close
-    EXPECT_EQ(raced.allocation.assignment(), serial.allocation.assignment());
+    ASSERT_EQ(raced.racers.size(), serial.size());
+    for (std::size_t i = 0; i < serial.size(); ++i) {
+      EXPECT_EQ(raced.racers[i].cost, serial[i].cost()) << "racer " << i;
+    }
+    const Allocation& winner = serial[static_cast<std::size_t>(raced.winner)];
+    EXPECT_EQ(raced.cost, winner.cost());  // bit-identical, not just close
+    EXPECT_EQ(raced.allocation.assignment(), winner.assignment());
   }
 }
 

@@ -2,12 +2,10 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <vector>
 
 #include "common/check.h"
 #include "common/rng.h"
-#include "core/drp_cds.h"
 #include "workload/generator.h"
 
 namespace dbs {
@@ -86,33 +84,10 @@ TEST(Program, MeanWaitOverCycleMatchesEq1) {
   }
 }
 
-TEST(Program, SlotOrderingVariantsKeepCycleTime) {
-  const Database db = generate_database({.items = 30, .diversity = 2.0, .seed = 2});
-  const Allocation alloc = run_drp_cds(db, 4).allocation;
-  const BroadcastProgram by_id(alloc, 10.0, SlotOrdering::kById);
-  const BroadcastProgram by_freq(alloc, 10.0, SlotOrdering::kByFreqDesc);
-  const BroadcastProgram by_br(alloc, 10.0, SlotOrdering::kByBenefitRatioDesc);
-  for (ChannelId c = 0; c < 4; ++c) {
-    EXPECT_NEAR(by_id.schedule(c).cycle_time, by_freq.schedule(c).cycle_time, 1e-12);
-    EXPECT_NEAR(by_id.schedule(c).cycle_time, by_br.schedule(c).cycle_time, 1e-12);
-  }
-}
-
-TEST(Program, FreqOrderingPutsPopularFirst) {
-  const Database db = generate_database({.items = 16, .seed = 3, .shuffle_ranks = false});
-  const Allocation alloc(db, 1);
-  const BroadcastProgram program(alloc, 10.0, SlotOrdering::kByFreqDesc);
-  const auto& slots = program.schedule(0).slots;
-  for (std::size_t i = 1; i < slots.size(); ++i) {
-    EXPECT_GE(db.item(slots[i - 1].item).freq, db.item(slots[i].item).freq);
-  }
-}
-
-TEST(Program, SortedOrderingsMatchAStableSortOfEachChannel) {
+TEST(Program, SlotsListEachChannelById) {
   // Tie-heavy integer sizes and frequencies, zeros included, scattered over
-  // five channels: each channel's slots must list its ids exactly as a
-  // stable sort of them (ascending ids in, ties kept) by the ordering's key
-  // does, and each slot must start where the previous one ends.
+  // five channels: each channel's slots must list its ids in ascending
+  // order, and each slot must start where the previous one ends.
   std::vector<double> sizes(200);
   std::vector<double> freqs(200);
   std::vector<ChannelId> assignment(200);
@@ -125,27 +100,21 @@ TEST(Program, SortedOrderingsMatchAStableSortOfEachChannel) {
   freqs[0] = 1.0;
   const Database db(sizes, freqs);
   const Allocation alloc(db, 5, assignment);
-  const std::vector<std::vector<ItemId>> members = alloc.members();
-  for (const SlotOrdering ordering :
-       {SlotOrdering::kByFreqDesc, SlotOrdering::kByBenefitRatioDesc}) {
-    const BroadcastProgram program(alloc, 10.0, ordering);
-    for (ChannelId c = 0; c < 5; ++c) {
-      std::vector<ItemId> expected = members[c];
-      std::stable_sort(expected.begin(), expected.end(), [&](ItemId a, ItemId b) {
-        return ordering == SlotOrdering::kByFreqDesc
-                   ? db.item(a).freq > db.item(b).freq
-                   : db.item(a).benefit_ratio() > db.item(b).benefit_ratio();
-      });
-      const std::vector<Slot>& slots = program.schedule(c).slots;
-      ASSERT_EQ(slots.size(), expected.size());
-      double offset = 0.0;
-      for (std::size_t i = 0; i < slots.size(); ++i) {
-        EXPECT_EQ(slots[i].item, expected[i]) << "channel " << c << ", slot " << i;
-        EXPECT_EQ(slots[i].start, offset);
-        offset += slots[i].duration;
-      }
-      EXPECT_EQ(program.schedule(c).cycle_time, offset);
+  const BroadcastProgram program(alloc, 10.0);
+  for (ChannelId c = 0; c < 5; ++c) {
+    std::vector<ItemId> expected;
+    for (ItemId id = 0; id < db.size(); ++id) {
+      if (assignment[id] == c) expected.push_back(id);
     }
+    const std::vector<Slot>& slots = program.schedule(c).slots;
+    ASSERT_EQ(slots.size(), expected.size());
+    double offset = 0.0;
+    for (std::size_t i = 0; i < slots.size(); ++i) {
+      EXPECT_EQ(slots[i].item, expected[i]) << "channel " << c << ", slot " << i;
+      EXPECT_EQ(slots[i].start, offset);
+      offset += slots[i].duration;
+    }
+    EXPECT_EQ(program.schedule(c).cycle_time, offset);
   }
 }
 

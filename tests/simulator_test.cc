@@ -76,19 +76,6 @@ TEST(Simulator, PerChannelWaitsMatchAnalyticChannelModel) {
   }
 }
 
-TEST(Simulator, SlotOrderingDoesNotChangeMeanWait) {
-  // Eq. (2) is order-independent; the empirical means should agree across
-  // slot orderings to within noise.
-  const Database db = generate_database({.items = 20, .diversity = 1.0, .seed = 7});
-  const Allocation alloc = run_drp_cds(db, 2).allocation;
-  const auto trace = generate_trace(db, {.requests = 50000, .arrival_rate = 25.0, .seed = 8});
-  const BroadcastProgram p1(alloc, 10.0, SlotOrdering::kById);
-  const BroadcastProgram p2(alloc, 10.0, SlotOrdering::kByFreqDesc);
-  const double w1 = simulate(p1, trace).mean_wait();
-  const double w2 = simulate(p2, trace).mean_wait();
-  EXPECT_NEAR(w1, w2, 0.05 * w1);
-}
-
 TEST(Simulator, BetterAllocationYieldsShorterEmpiricalWaits) {
   const Database db = generate_database({.items = 60, .skewness = 1.2,
                                          .diversity = 2.0, .seed = 9});

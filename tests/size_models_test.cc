@@ -23,7 +23,6 @@ TEST(SizeModels, UniformExponentIsDefaultAndMatchesLegacySampler) {
 TEST(SizeModels, LognormalMeanExponentIsHalfDiversity) {
   WorkloadConfig cfg{.items = 1, .diversity = 2.0, .seed = 2};
   cfg.size_model = SizeModel::kLognormal;
-  cfg.lognormal_sigma = 0.5;
   Rng rng(3);
   double mean_exp = 0.0;
   const int n = 50000;
@@ -35,8 +34,9 @@ TEST(SizeModels, LognormalMeanExponentIsHalfDiversity) {
 
 TEST(SizeModels, LognormalStaysWithinClamp) {
   WorkloadConfig cfg{.items = 1, .diversity = 2.0, .seed = 4};
+  // σ = 0.8 puts about 1.2% of the draws past the clamp at 10^-1 and
+  // 10^(Φ+1), so 20000 draws exercise both ends.
   cfg.size_model = SizeModel::kLognormal;
-  cfg.lognormal_sigma = 3.0;  // fat tail: exercise the clamp
   Rng rng(5);
   for (int i = 0; i < 20000; ++i) {
     const double z = sample_item_size_model(rng, cfg);
@@ -48,7 +48,6 @@ TEST(SizeModels, LognormalStaysWithinClamp) {
 TEST(SizeModels, BimodalSeparatesTextFromMedia) {
   WorkloadConfig cfg{.items = 1, .diversity = 2.0, .seed = 6};
   cfg.size_model = SizeModel::kBimodal;
-  cfg.bimodal_media_share = 0.25;
   Rng rng(7);
   int media = 0;
   const int n = 40000;
@@ -59,7 +58,7 @@ TEST(SizeModels, BimodalSeparatesTextFromMedia) {
     ASSERT_TRUE(is_media || is_text) << "size " << z << " falls in the gap";
     media += is_media;
   }
-  EXPECT_NEAR(static_cast<double>(media) / n, 0.25, 0.01);
+  EXPECT_NEAR(static_cast<double>(media) / n, kBimodalMediaShare, 0.01);
 }
 
 TEST(SizeModels, GeneratorHonoursTheModel) {

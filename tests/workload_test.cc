@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 
 #include "common/check.h"
+#include "common/distributions.h"
 #include "workload/generator.h"
 #include "workload/paper_example.h"
 #include "workload/trace.h"
@@ -62,30 +64,27 @@ TEST(Generator, SizeExponentRoughlyUniform) {
 
 TEST(Generator, FrequenciesAreZipfWithoutShuffle) {
   const Database db = generate_database(
-      {.items = 10, .skewness = 1.0, .diversity = 1.0, .seed = 6, .shuffle_ranks = false});
-  // Item 0 is rank 1, item 9 is rank 10; ratio f_0/f_9 = 10 for theta = 1.
-  EXPECT_NEAR(db.item(0).freq / db.item(9).freq, 10.0, 1e-9);
-  for (ItemId id = 1; id < db.size(); ++id) {
-    EXPECT_LE(db.item(id).freq, db.item(id - 1).freq);
+      {.items = 10, .skewness = 1.0, .diversity = 1.0, .seed = 6});
+  // ids_by_freq_desc() undoes the rank shuffle: rank r + 1 is order[r], and
+  // f_1/f_(r+1) = r + 1 for theta = 1.
+  const std::vector<ItemId> order = db.ids_by_freq_desc();
+  for (std::size_t r = 0; r < order.size(); ++r) {
+    EXPECT_NEAR(db.item(order[0]).freq / db.item(order[r]).freq,
+                static_cast<double>(r + 1), 1e-9)
+        << "rank " << r + 1;
   }
 }
 
 TEST(Generator, ShuffleKeepsMultiset) {
-  const WorkloadConfig base{.items = 30, .skewness = 0.8, .diversity = 1.0,
-                            .seed = 7, .shuffle_ranks = false};
-  WorkloadConfig shuffled = base;
-  shuffled.shuffle_ranks = true;
-  const Database a = generate_database(base);
-  const Database b = generate_database(shuffled);
-  auto freqs = [](const Database& db) {
-    std::vector<double> f;
-    for (const Item& it : db.items()) f.push_back(it.freq);
-    std::sort(f.begin(), f.end());
-    return f;
-  };
-  const auto fa = freqs(a);
-  const auto fb = freqs(b);
-  for (std::size_t i = 0; i < fa.size(); ++i) EXPECT_NEAR(fa[i], fb[i], 1e-12);
+  // The rank shuffle permutes the Zipf column without changing its values.
+  const Database db = generate_database(
+      {.items = 30, .skewness = 0.8, .diversity = 1.0, .seed = 7});
+  std::vector<double> freqs;
+  for (const Item& it : db.items()) freqs.push_back(it.freq);
+  std::sort(freqs.begin(), freqs.end(), std::greater<>());
+  const std::vector<double> zipf = zipf_probabilities(30, 0.8);
+  ASSERT_EQ(freqs.size(), zipf.size());
+  for (std::size_t i = 0; i < zipf.size(); ++i) EXPECT_NEAR(freqs[i], zipf[i], 1e-12);
 }
 
 TEST(Generator, RejectsBadConfig) {
@@ -131,8 +130,7 @@ TEST(Trace, InterArrivalMeanMatchesRate) {
 }
 
 TEST(Trace, PopularityTracksFrequencies) {
-  const Database db = generate_database(
-      {.items = 12, .skewness = 1.2, .seed = 10, .shuffle_ranks = false});
+  const Database db = generate_database({.items = 12, .skewness = 1.2, .seed = 10});
   const auto trace = generate_trace(db, {.requests = 100000, .seed = 3});
   const auto hist = trace_popularity(trace, db.size());
   for (ItemId id = 0; id < db.size(); ++id) {

@@ -59,6 +59,19 @@ Enforces project invariants that clang-tidy cannot express:
                      protection must be spelled out in the type. This keeps
                      the Python linter and the compiler analysis pointed at
                      the same contract.
+  unset-option       Every field of a `struct ...Options`, `...Config` or
+                     `...Request` in a src/ header must be written by some
+                     file outside tests/ and tools/lint_cases/: a
+                     `.field = ...` or `.field.sub = ...` assignment or
+                     designated initializer in src/, bench/, examples/,
+                     tools/ or e2ebench/. A setting that only tests set
+                     doubles the configurations tests and benchmarks must
+                     cover without changing a result any program gets; make
+                     it a named constant. A field kept on purpose carries
+                     `// dbs-lint: allow(unset-option) <reason>` on its line
+                     or the line above; a mark without a reason does not
+                     count. The selftest lints each fixture alone, so there a
+                     fixture's own writes are the only ones.
 
 Exit status: 0 when clean, 1 when any finding is reported, 2 on usage error.
 
@@ -426,6 +439,101 @@ def rule_guarded_by_audit(path: Path, rel: Path, text: str, stripped: str,
 
 
 # --------------------------------------------------------------------------
+# Rule: unset-option
+# --------------------------------------------------------------------------
+
+# Directories whose files count as callers that set an option field.
+OPTION_WRITER_DIRS = ("src", "bench", "examples", "tools", "e2ebench")
+OPTION_STRUCT_RE = re.compile(
+    r"\bstruct\s+([A-Za-z_]\w*(?:Options|Config|Request))\s*(?::[^{;]*)?\{")
+# `.a.b.c = ...` writes a, b and c; `==` is a comparison, not a write.
+FIELD_WRITE_RE = re.compile(r"((?:\.\s*[A-Za-z_]\w*\s*)+)=(?!=)")
+FIELD_NAME_RE = re.compile(r"([A-Za-z_]\w*)\s*(?:\[[^\]]*\]\s*)?$")
+NOT_A_FIELD_RE = re.compile(
+    r"\s*(?:static|using|friend|typedef|enum|struct|class)\b")
+ALLOW_REASON_RE = re.compile(r"dbs-lint:\s*allow\(([^)]*)\)(.*)")
+
+
+def written_fields(stripped: str) -> set:
+    """Names of the fields `stripped` writes through `.field(.sub)* =`."""
+    names = set()
+    for m in FIELD_WRITE_RE.finditer(stripped):
+        names.update(re.findall(r"[A-Za-z_]\w*", m.group(1)))
+    return names
+
+
+def option_writers(root: Path) -> set:
+    """Every field name written outside tests/ and tools/lint_cases/."""
+    names = set()
+    cases = root / "tools" / "lint_cases"
+    for path in iter_files(root, OPTION_WRITER_DIRS):
+        if cases in path.parents:
+            continue
+        names |= written_fields(strip_comments_and_strings(
+            path.read_text(encoding="utf-8", errors="replace")))
+    return names
+
+
+def option_fields(stripped: str):
+    """Yields (offset, struct, field) for each data member of a
+    `struct ...Options/Config/Request` body; member functions, static or
+    using declarations and nested type bodies are skipped."""
+    for m in OPTION_STRUCT_RE.finditer(stripped):
+        body_end = find_matching_brace(stripped, m.end() - 1)
+        start = m.end()
+        depth = parens = 0
+        for i in range(m.end(), body_end):
+            c = stripped[i]
+            if c == "(":
+                parens += 1
+            elif c == ")":
+                parens -= 1
+            elif c == "{":
+                depth += 1
+            elif c == "}":
+                depth -= 1
+                if depth == 0 and parens == 0:
+                    start = i + 1  # end of a nested body or inline function
+            elif c == ";" and depth == 0 and parens == 0:
+                # The declarator ends where its initializer begins.
+                head = re.split(r"[={]", stripped[start:i], maxsplit=1)[0]
+                name = FIELD_NAME_RE.search(head.rstrip())
+                if name and "(" not in head and not NOT_A_FIELD_RE.match(head):
+                    yield start + name.start(1), m.group(1), name.group(1)
+                start = i + 1
+
+
+def allow_reason(lines, lineno: int, rule: str):
+    """The reason given with an `allow(<rule>)` mark on the 1-based line or
+    the one above: '' for a bare mark, None when there is no mark."""
+    for ln in (lineno, lineno - 1):
+        if 1 <= ln <= len(lines):
+            m = ALLOW_REASON_RE.search(lines[ln - 1])
+            if m and rule in m.group(1):
+                return m.group(2).strip(" \t-:\u2014")
+    return None
+
+
+def rule_unset_option(path: Path, stripped: str, lines, writers: set,
+                      findings):
+    if path.suffix != ".h":
+        return
+    for offset, struct, field in option_fields(stripped):
+        if field in writers:
+            continue
+        ln = line_of(stripped, offset)
+        reason = allow_reason(lines, ln, "unset-option")
+        if reason:
+            continue
+        hint = (" (its allow mark gives no reason)" if reason == "" else "")
+        findings.append(
+            Finding("unset-option", path, ln,
+                    f"{struct}::{field} is set by no file outside tests/"
+                    f"{hint}; make it a named constant or give a caller "
+                    "a reason to set it"))
+
+
+# --------------------------------------------------------------------------
 # Rule: contract-audit
 # --------------------------------------------------------------------------
 
@@ -497,7 +605,9 @@ def rule_contract_audit(path: Path, text: str, stripped: str, lines, findings):
 # Driver
 # --------------------------------------------------------------------------
 
-def lint_file(path: Path, rel: Path, findings):
+def lint_file(path: Path, rel: Path, findings, writers=None):
+    """Lints one file. `writers` names the option fields some caller sets
+    (option_writers); None, as in the selftest, counts the file's own."""
     text = path.read_text(encoding="utf-8", errors="replace")
     stripped = strip_comments_and_strings(text)
     lines = text.splitlines()
@@ -511,6 +621,9 @@ def lint_file(path: Path, rel: Path, findings):
     if top in SRC_DIRS:
         rule_determinism(path, stripped, lines, findings)
         rule_contract_audit(path, text, stripped, lines, findings)
+        rule_unset_option(path, stripped, lines,
+                          written_fields(stripped) if writers is None
+                          else writers, findings)
         if rel.parts[:2] in API_DOC_DIRS and path.suffix == ".h":
             rule_api_docs(path, stripped, lines, findings)
     if top in TEST_DIRS:
@@ -519,8 +632,9 @@ def lint_file(path: Path, rel: Path, findings):
 
 def run(root: Path) -> list:
     findings = []
+    writers = option_writers(root)
     for path in iter_files(root, ALL_DIRS):
-        lint_file(path, path.relative_to(root), findings)
+        lint_file(path, path.relative_to(root), findings, writers)
     return findings
 
 
