@@ -119,16 +119,23 @@ void BM_GoptSmallBudget(benchmark::State& state) {
 }
 BENCHMARK(BM_GoptSmallBudget)->Unit(benchmark::kMillisecond);
 
+// DRP start, run to convergence. N = 5000, K = 16 is e2ebench
+// plan_converge's shape, where CDS is nearly the whole plan.
 void BM_CdsIndexedEngine(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
+  const auto k = static_cast<ChannelId>(state.range(1));
   const Database db = make_db(n);
-  const Allocation start = run_drp(db, 10).allocation;
+  const Allocation start = run_drp(db, k).allocation;
   for (auto _ : state) {
     Allocation alloc = start;
     benchmark::DoNotOptimize(run_cds(alloc));
   }
 }
-BENCHMARK(BM_CdsIndexedEngine)->Range(128, 2048);
+BENCHMARK(BM_CdsIndexedEngine)
+    ->Args({128, 10})
+    ->Args({1024, 10})
+    ->Args({2048, 10})
+    ->Args({5000, 16});
 
 // The candidate index's worst layout: channel = rank mod K spreads every
 // channel's members over the whole benefit order, so each fold walks two

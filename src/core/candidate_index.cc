@@ -1,9 +1,10 @@
 #include "core/candidate_index.h"
 
 #include <algorithm>
+#include <bit>
+#include <cstring>
 #include <limits>
 #include <numeric>
-#include <ranges>
 #include <utility>
 
 #include "common/check.h"
@@ -22,16 +23,31 @@ constexpr std::uint32_t kNoRank = std::numeric_limits<std::uint32_t>::max();
 // maxima and rescans only the blocks a fold wrote to, kBlockRanks gains each.
 constexpr std::size_t kBlockRanks = 256;
 
-/// The largest of g[0, len), len ≥ 1. Four independent running maxima keep
-/// the loop free of data-dependent branches, so it runs at load bandwidth.
+// Two gains side by side, compared and selected lane by lane with GCC's and
+// Clang's vector extension: SSE2 code on any x86-64, no target flag needed.
+using Pair = double __attribute__((vector_size(2 * sizeof(double))));
+
+Pair load_pair(const double* g) {
+  Pair pair;
+  std::memcpy(&pair, g, sizeof pair);
+  return pair;
+}
+
+Pair pair_max(Pair a, Pair b) { return a < b ? b : a; }
+
+/// The largest of g[0, len), or −∞ when len is 0. Four independent running
+/// maxima of two lanes each keep the loop free of data-dependent branches, so
+/// it runs at load bandwidth.
 double max_of(const double* g, std::size_t len) {
-  double lane[4] = {g[0], g[0], g[0], g[0]};
+  const Pair none = {kNegInf, kNegInf};
+  Pair lane[4] = {none, none, none, none};
   std::size_t i = 0;
-  for (; i + 4 <= len; i += 4) {
-    for (std::size_t l = 0; l < 4; ++l) lane[l] = std::max(lane[l], g[i + l]);
+  for (; i + 8 <= len; i += 8) {
+    for (std::size_t l = 0; l < 4; ++l) lane[l] = pair_max(lane[l], load_pair(g + i + 2 * l));
   }
-  for (; i < len; ++i) lane[0] = std::max(lane[0], g[i]);
-  return std::max({lane[0], lane[1], lane[2], lane[3]});
+  for (; i + 2 <= len; i += 2) lane[0] = pair_max(lane[0], load_pair(g + i));
+  const Pair top = pair_max(pair_max(lane[0], lane[1]), pair_max(lane[2], lane[3]));
+  return std::max({top[0], top[1], i < len ? g[i] : kNegInf});
 }
 
 }  // namespace
@@ -53,7 +69,10 @@ CandidateIndex::CandidateIndex(Allocation& alloc)
       spans_(alloc.channels(), Span{kNoRank, 0}),
       block_max_((alloc.items() + kBlockRanks - 1) / kBlockRanks),
       by_zf_(alloc.channels()),
-      dirty_(block_max_.size(), 0) {
+      dirty_(block_max_.size(), 0),
+      diff_(alloc.channels()),
+      // Every search starts below N, so no search matches these keys.
+      edges_(alloc.channels(), EdgeSearch{EdgeKey{0, 0, 0, 0, 0, alloc.items()}, 0}) {
   DBS_CHECK_MSG(alloc_.channels() >= 2,
                 "the candidate index needs at least two channels");
   const std::size_t k = alloc_.channels();
@@ -76,9 +95,8 @@ CandidateIndex::CandidateIndex(Allocation& alloc)
   build_hull();
   build_pieces(pieces_);
   for (std::size_t i = 0; i < pieces_.chan.size(); ++i) {
-    for (std::size_t r = pieces_.start[i]; r < pieces_.start[i + 1]; ++r) {
-      refresh_gain(r, home_[r], pieces_.chan[i]);
-    }
+    const ChannelId to = pieces_.chan[i];
+    refresh_range(pieces_.start[i], pieces_.start[i + 1], to, to, to);
   }
   for (std::size_t b = 0; b < block_max_.size(); ++b) mark_dirty(b);
 }
@@ -114,8 +132,7 @@ void CandidateIndex::build_hull() {
   }
 }
 
-std::size_t CandidateIndex::first_beaten(ChannelId a, ChannelId b,
-                                         std::size_t from) const {
+std::size_t CandidateIndex::first_beaten(ChannelId a, ChannelId b, std::size_t from) {
   // Along the benefit order f/z falls, so the load difference
   // s_b − s_a = z·((f/z)·ΔZ + ΔF) of a hull edge (ΔZ > 0) changes sign at
   // most once: "b beats a" is a monotone predicate over ranks, and its
@@ -126,19 +143,43 @@ std::size_t CandidateIndex::first_beaten(ChannelId a, ChannelId b,
   const double fa = chan_freq_[a];
   const double zb = chan_size_[b];
   const double fb = chan_freq_[b];
+  // The search is a pure function of the key's inputs and the item columns,
+  // so an edge none of whose inputs moved since the last search of the edge
+  // leaving `a` reuses its result; after a move that is every edge off p and
+  // q whose start held. The start rank is part of the key: where rounding
+  // blurs a threshold, a search from another start can land elsewhere.
+  const EdgeKey key{b,
+                    std::bit_cast<std::uint64_t>(za),
+                    std::bit_cast<std::uint64_t>(fa),
+                    std::bit_cast<std::uint64_t>(zb),
+                    std::bit_cast<std::uint64_t>(fb),
+                    from};
+  EdgeSearch& memo = edges_[a];
+  if (memo.key == key) return memo.end;
+  // std::ranges::partition_point's probe sequence, which the seeded runs
+  // replay, with selects in place of its branch on the probe. When b wins
+  // ties, "sb < sa or sb == sa" is sb <= sa.
   const bool b_wins_ties = b < a;
-  const auto ranks = std::views::iota(from, alloc_.items());
-  const auto first = std::ranges::partition_point(ranks, [&](std::size_t r) {
-    const double f = item_freq_[r];
-    const double z = item_size_[r];
+  std::size_t first = from;
+  for (std::size_t len = alloc_.items() - from; len > 0;) {
+    const std::size_t half = len / 2;
+    const std::size_t mid = first + half;
+    const double f = item_freq_[mid];
+    const double z = item_size_[mid];
     const double sa = f * za + z * fa;
     const double sb = f * zb + z * fb;
-    return !(sb < sa || (b_wins_ties && sb == sa));
-  });
-  return from + static_cast<std::size_t>(first - ranks.begin());
+    const bool beaten = b_wins_ties ? sb <= sa : sb < sa;
+    // All ones when the probe is not beaten and the search moves past it:
+    // masks, since GCC turns a ?: on the probe back into a branch.
+    const std::size_t past = std::size_t{0} - !beaten;
+    first += (half + 1) & past;
+    len = (half & ~past) | ((len - half - 1) & past);
+  }
+  memo = EdgeSearch{key, first};
+  return memo.end;
 }
 
-void CandidateIndex::build_pieces(PieceMap& out) const {
+void CandidateIndex::build_pieces(PieceMap& out) {
   // Vertex j owns the positions from where it beat vertex j − 1 up to where
   // vertex j + 1 beats it. Starting each search at the previous boundary
   // keeps the boundaries ascending even where rounding blurs a threshold.
@@ -158,20 +199,31 @@ void CandidateIndex::build_pieces(PieceMap& out) const {
   out.start.push_back(n);
 }
 
-void CandidateIndex::refresh_gain(std::size_t rank, ChannelId home, ChannelId to) {
-  const double f = item_freq_[rank];
-  const double z = item_size_[rank];
+void CandidateIndex::refresh_range(std::size_t lo, std::size_t hi, ChannelId to,
+                                   ChannelId skip_a, ChannelId skip_b) {
   // Same expression in the same order as Allocation::move_gain (Eq. 4), so
-  // the cached gain is bit-identical to what best_move(alloc) computes. It
-  // is computed even when the target is home (measured faster than an early
-  // return in the refresh loops) and then replaced: with the home as the
-  // min-load channel every move has Δc = C_y − s_q ≤ C_y − s_home =
-  // −2 f_y z_y < 0, so the item is never selectable.
-  const double gain = f * (chan_size_[home] - chan_size_[to]) +
-                      z * (chan_freq_[home] - chan_freq_[to]) - 2.0 * f * z;
-  const bool at_home = to == home;
-  gain_[rank] = at_home ? kNegInf : gain;
-  moves_evaluated_ += at_home ? 0 : 1;
+  // each cached gain is bit-identical to what best_move(alloc) computes; its
+  // two differences are move_gain's own subtractions, taken once per home
+  // channel into a table instead of from four aggregate loads per rank. A
+  // gain is computed even when the target is home (measured faster than an
+  // early return) and then replaced: with the home as the min-load channel
+  // every move has Δc = C_y − s_q ≤ C_y − s_home = −2 f_y z_y < 0, so the
+  // item is never selectable.
+  const double z_to = chan_size_[to];
+  const double f_to = chan_freq_[to];
+  for (std::size_t c = 0; c < diff_.size(); ++c) {
+    diff_[c] = Difference{chan_size_[c] - z_to, chan_freq_[c] - f_to};
+  }
+  std::size_t evaluated = 0;
+  for (std::size_t r = lo; r < hi; ++r) {
+    const ChannelId home = home_[r];
+    const double f = item_freq_[r];
+    const double z = item_size_[r];
+    const double gain = f * diff_[home].size + z * diff_[home].freq - 2.0 * f * z;
+    gain_[r] = home == to ? kNegInf : gain;
+    evaluated += static_cast<std::size_t>((home != to) & (home != skip_a) & (home != skip_b));
+  }
+  moves_evaluated_ += evaluated;
 }
 
 void CandidateIndex::mark_dirty(std::size_t block) {
@@ -187,11 +239,17 @@ void CandidateIndex::refresh_members(ChannelId c) {
   // from a cursor over the piece map instead of a search. The home column
   // and the members' f, z and gain are all read in rank order, so the walk
   // streams; only a span much wider than its members (an interleaved
-  // layout) makes it cost more than a per-channel member list would.
+  // layout) makes it cost more than a per-channel member list would. Every
+  // member's home is c, so Eq. 4's differences change only with the piece.
   std::uint32_t found[kBlockRanks];
   Span& span = spans_[c];
   Span tight{kNoRank, 0};
+  const double z_home = chan_size_[c];
+  const double f_home = chan_freq_[c];
   std::size_t piece = 0;
+  ChannelId to = pieces_.chan[0];
+  Difference diff{z_home - chan_size_[to], f_home - chan_freq_[to]};
+  std::size_t evaluated = 0;
   for (std::uint32_t first = span.lo; first < span.hi;) {
     const auto end = static_cast<std::uint32_t>(
         std::min<std::size_t>(span.hi, (first / kBlockRanks + 1) * kBlockRanks));
@@ -207,11 +265,21 @@ void CandidateIndex::refresh_members(ChannelId c) {
     }
     for (std::size_t m = 0; m < count; ++m) {
       const std::uint32_t r = found[m];
-      while (pieces_.start[piece + 1] <= r) ++piece;
-      refresh_gain(r, c, pieces_.chan[piece]);
+      if (pieces_.start[piece + 1] <= r) {
+        do ++piece;
+        while (pieces_.start[piece + 1] <= r);
+        to = pieces_.chan[piece];
+        diff = Difference{z_home - chan_size_[to], f_home - chan_freq_[to]};
+      }
+      const double f = item_freq_[r];
+      const double z = item_size_[r];
+      const double gain = f * diff.size + z * diff.freq - 2.0 * f * z;
+      gain_[r] = to == c ? kNegInf : gain;
+      evaluated += static_cast<std::size_t>(to != c);
     }
     first = end;
   }
+  moves_evaluated_ += evaluated;
   span = tight;
 }
 
@@ -226,7 +294,9 @@ void CandidateIndex::fold() {
   // the item's home and target aggregates only, so it is stale exactly when
   // the target changed, the target is p or q, or the home is p or q. The
   // first two are whole rank ranges; items on p or q are found in their
-  // spans (skipped here, so each gain is computed once).
+  // spans. A range refresh computes their gains too rather than branch
+  // around them, and leaves them out of its count: the span walks overwrite
+  // and count them, so each gain is counted once.
   const std::size_t n = alloc_.items();
   std::size_t i = 0;
   std::size_t j = 0;
@@ -238,10 +308,7 @@ void CandidateIndex::fold() {
       for (std::size_t b = pos / kBlockRanks; b <= (end - 1) / kBlockRanks; ++b) {
         mark_dirty(b);
       }
-      for (std::size_t r = pos; r < end; ++r) {
-        const ChannelId home = home_[r];
-        if (home != p && home != q) refresh_gain(r, home, to);
-      }
+      refresh_range(pos, end, to, p, q);
     }
     pos = end;
     i += old_pieces_.start[i + 1] == end;
@@ -266,15 +333,24 @@ CdsMove CandidateIndex::best_move() {
   // Ties resolve to the smallest item id, the order best_move(alloc)'s
   // ascending-id strict-> loop induces. Rank order is not id order, so
   // every block whose maximum is the top gain is searched for its smallest
-  // id.
+  // id, two gains at a time.
   const double top = max_of(block_max_.data(), block_max_.size());
+  const Pair tops = {top, top};
   std::size_t best = n;
+  auto consider = [&](std::size_t r) {
+    if (gain_[r] == top && (best == n || order_[r] < order_[best])) best = r;
+  };
   for (std::size_t b = 0; b < block_max_.size(); ++b) {
     if (block_max_[b] != top) continue;
     const std::size_t end = std::min(n, (b + 1) * kBlockRanks);
-    for (std::size_t r = b * kBlockRanks; r < end; ++r) {
-      if (gain_[r] == top && (best == n || order_[r] < order_[best])) best = r;
+    std::size_t r = b * kBlockRanks;
+    for (; r + 2 <= end; r += 2) {
+      const auto equal = load_pair(&gain_[r]) == tops;
+      if ((equal[0] | equal[1]) == 0) continue;
+      consider(r);
+      consider(r + 1);
     }
+    if (r < end) consider(r);
   }
   selected_ = static_cast<std::uint32_t>(best);
   return CdsMove{order_[best], home_[best], pieces_.target_at(best), top};

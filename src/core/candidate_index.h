@@ -23,7 +23,8 @@
 // returned and finds any other moved item's rank by a linear search.
 //
 // After a move p→q the fold rebuilds the hull, finds each piece's start with
-// one binary search per hull edge, and merges the old and new piece maps: a
+// one binary search per hull edge whose inputs changed (the others reuse
+// their last result), and merges the old and new piece maps: a
 // gain is recomputed only where the piece channel changed or is p or q (whole
 // rank ranges, streamed), and for the items living on p or q (found by
 // streaming the home column over p's and q's spans, which the walk then
@@ -102,18 +103,47 @@ class CandidateIndex {
     std::uint32_t hi;
   };
 
+  /// Eq. 4's channel differences for a move from a home to a target:
+  /// Z_home − Z_to and F_home − F_to.
+  struct Difference {
+    double size;
+    double freq;
+  };
+
+  /// Every input of a hull edge's boundary search besides the item columns:
+  /// the edge's right channel (the left one indexes the memo), the bits of
+  /// both channels' (Z, F), and the start rank.
+  struct EdgeKey {
+    ChannelId right;
+    std::uint64_t left_z;
+    std::uint64_t left_f;
+    std::uint64_t right_z;
+    std::uint64_t right_f;
+    std::size_t from;
+    bool operator==(const EdgeKey&) const = default;
+  };
+
+  struct EdgeSearch {
+    EdgeKey key;
+    std::size_t end;
+  };
+
   /// \brief Rebuilds hull_ from the current channel aggregates.
   void build_hull();
 
   /// \brief Derives the piece map of hull_ into `out`.
-  void build_pieces(PieceMap& out) const;
+  void build_pieces(PieceMap& out);
 
   /// \brief First rank in [from, N) at which channel `b` beats `a` as a
-  /// target: lower load, or equal load and a smaller id.
-  std::size_t first_beaten(ChannelId a, ChannelId b, std::size_t from) const;
+  /// target: lower load, or equal load and a smaller id. Reuses the previous
+  /// search of the edge leaving `a` when none of its inputs changed.
+  std::size_t first_beaten(ChannelId a, ChannelId b, std::size_t from);
 
-  /// \brief Recomputes the gain at `rank` for the move home → to.
-  void refresh_gain(std::size_t rank, ChannelId home, ChannelId to);
+  /// \brief Recomputes the gains of ranks [lo, hi) for target `to` and
+  /// counts those whose home is none of `to`, `skip_a` and `skip_b` (the
+  /// channels whose members a fold refreshes, and counts, afterwards).
+  void refresh_range(std::size_t lo, std::size_t hi, ChannelId to,
+                     ChannelId skip_a, ChannelId skip_b);
 
   /// \brief Queues block `block` for a fresh maximum at the next selection.
   void mark_dirty(std::size_t block);
@@ -146,6 +176,8 @@ class CandidateIndex {
   std::vector<ChannelId> hull_;         // lower-hull vertices by ascending Z
   std::vector<std::uint8_t> dirty_;     // by block: queued in dirty_blocks_
   std::vector<std::uint32_t> dirty_blocks_;  // blocks whose max is stale
+  std::vector<Difference> diff_;        // by home: refresh_range's table
+  std::vector<EdgeSearch> edges_;       // by left vertex: the last search
 
   std::uint32_t selected_ = 0;  // rank of the move best_move() last returned
   bool pending_ = false;

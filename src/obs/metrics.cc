@@ -20,13 +20,7 @@ std::string json_number(double v) {
 
 }  // namespace
 
-Histogram::Histogram(std::vector<double> bounds)
-    : bounds_(std::move(bounds)), buckets_(bounds_.size() + 1) {
-  DBS_CHECK_MSG(!bounds_.empty(), "histogram needs at least one bucket bound");
-  DBS_CHECK_MSG(std::is_sorted(bounds_.begin(), bounds_.end()) &&
-                    std::adjacent_find(bounds_.begin(), bounds_.end()) == bounds_.end(),
-                "histogram bounds must be strictly increasing");
-}
+Histogram::Histogram() : bounds_(default_bounds()), buckets_(bounds_.size() + 1) {}
 
 void Histogram::observe(double value) {
   const auto it = std::lower_bound(bounds_.begin(), bounds_.end(), value);
@@ -119,9 +113,7 @@ Histogram& MetricsRegistry::histogram(std::string_view name) {
   const auto it = histograms_.find(name);
   if (it != histograms_.end()) return *it->second;
   check_name(name, counters_.count(name) != 0 || gauges_.count(name) != 0);
-  return *histograms_
-              .emplace(std::string(name),
-                       std::make_unique<Histogram>(Histogram::default_bounds()))
+  return *histograms_.emplace(std::string(name), std::make_unique<Histogram>())
               .first->second;
 }
 

@@ -50,11 +50,10 @@ class Gauge {
 
 /// Fixed-bucket histogram with Prometheus-style cumulative-friendly layout:
 /// bucket i counts observations ≤ bounds[i]; one extra overflow bucket counts
-/// the rest. Bounds are fixed at registration; observe() is lock-free.
+/// the rest. Every histogram has default_bounds(); observe() is lock-free.
 class Histogram {
  public:
-  /// `bounds` must be non-empty and strictly increasing.
-  explicit Histogram(std::vector<double> bounds);
+  Histogram();
 
   void observe(double value);
 

@@ -2,12 +2,13 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <string>
 #include <vector>
 
 #include "brute_cds.h"
 #include "core/drp.h"
+#include "core/multilevel.h"
+#include "tie_heavy.h"
 #include "workload/generator.h"
 
 namespace dbs {
@@ -169,6 +170,42 @@ TEST(CdsStatsWork, NoMovesMeansOneScanOnly) {
   EXPECT_EQ(stats.index_repairs, 0u);
 }
 
+TEST(CdsStatsWork, CountersArePinned) {
+  // Seeded work and cost, which an exact change to the index must keep. A
+  // refresh that skips a gain or counts one twice moves moves_evaluated, a
+  // stale boundary moves the trajectory; either breaks a value below.
+  struct Pinned {
+    std::size_t items;
+    ChannelId channels;
+    bool multilevel;  // else DRP then run_cds; multilevel pins level 0
+    std::size_t iterations;
+    std::size_t moves_evaluated;
+    std::size_t index_repairs;
+    double final_cost;
+  };
+  for (const Pinned& pin :
+       {Pinned{5000, 16, false, 3286, 2146945, 2895485, 0x1.90e9f068b4e4p+11},
+        Pinned{2000, 10, false, 442, 122276, 198555, 0x1.072af18bbc954p+11},
+        Pinned{2000, 10, true, 57, 2834, 25686, 0x1.06a4ca729022ap+11}}) {
+    const Database db = generate_database({.items = pin.items, .skewness = 0.8,
+                                           .diversity = 2.0, .seed = 3});
+    CdsStats stats;
+    if (pin.multilevel) {
+      stats = run_multilevel(db, pin.channels).cds;
+    } else {
+      Allocation alloc = run_drp(db, pin.channels).allocation;
+      stats = run_cds(alloc);
+    }
+    const std::string shape = std::to_string(pin.items) + " items, " +
+                              std::to_string(pin.channels) + " channels" +
+                              (pin.multilevel ? ", multilevel" : "");
+    EXPECT_EQ(stats.iterations, pin.iterations) << shape;
+    EXPECT_EQ(stats.moves_evaluated, pin.moves_evaluated) << shape;
+    EXPECT_EQ(stats.index_repairs, pin.index_repairs) << shape;
+    EXPECT_EQ(stats.final_cost, pin.final_cost) << shape;
+  }
+}
+
 TEST(CdsIndexed, IdenticalFromArbitraryStartsToo) {
   const Database db = generate_database({.items = 90, .diversity = 2.5, .seed = 31});
   Rng rng(5);
@@ -190,22 +227,10 @@ TEST(CdsIndexed, ReachesALocalOptimumOnTieHeavyIntegerCatalogues) {
   // contract: no cost increase, and a local optimum at the end.
   Rng rng(2005);
   for (int instance = 0; instance < 200; ++instance) {
-    const std::size_t n = 2 + static_cast<std::size_t>(rng.below(79));
-    std::vector<double> sizes(n);
-    std::vector<double> freqs(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      sizes[i] = static_cast<double>(rng.between(1, 5));
-      freqs[i] = rng.chance(1.0 / 3.0) ? 0.0 : static_cast<double>(rng.between(1, 7));
-    }
-    if (std::all_of(freqs.begin(), freqs.end(), [](double f) { return f == 0.0; })) {
-      freqs[static_cast<std::size_t>(rng.below(n))] = 1.0;
-    }
-    const Database db(sizes, freqs);
-    const ChannelId k = static_cast<ChannelId>(rng.between(2, 31));
-    std::vector<ChannelId> scattered(n);
-    for (auto& c : scattered) c = static_cast<ChannelId>(rng.below(k));
+    const TieHeavyInstance drawn = draw_tie_heavy_instance(rng);
     for (const bool all_on_zero : {false, true}) {
-      Allocation alloc = all_on_zero ? Allocation(db, k) : Allocation(db, k, scattered);
+      Allocation alloc = all_on_zero ? Allocation(drawn.db, drawn.channels)
+                                     : Allocation(drawn.db, drawn.channels, drawn.scattered);
       const double before = alloc.cost();
       const CdsStats stats = run_cds(alloc);
       const std::string context = "instance " + std::to_string(instance) +
