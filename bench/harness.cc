@@ -43,17 +43,12 @@ Measurement measure(const Database& db, Algorithm algorithm, ChannelId channels,
   request.channels = channels;
   request.bandwidth = bandwidth;
   request.gopt.seed = seed;
-  request.portfolio.gopt.seed = seed;
   if (quick) {
     request.gopt.population = 60;
     request.gopt.generations = 150;
     request.gopt.stall_generations = 50;
-    request.portfolio.gopt = request.gopt;
   }
-  if (cds_max_iterations != 0) {
-    request.drp_cds.cds.max_iterations = cds_max_iterations;
-    request.portfolio.cds_max_iterations = cds_max_iterations;
-  }
+  if (cds_max_iterations != 0) request.drp_cds.cds.max_iterations = cds_max_iterations;
   if (algorithm == Algorithm::kPortfolio) {
     // Bench rows must stay seed-deterministic: give the race a budget no
     // racer ever exhausts, so every racer runs to completion and the winner

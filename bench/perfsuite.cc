@@ -5,10 +5,11 @@
 // planner and the online service, and emits a
 // machine-readable BENCH_<sha>.json with the per-config median and IQR of
 // wall time, cost, waiting time and lb_gap (cost ÷ the KSY lower bound,
-// computed outside the timed call) plus host metadata.
-// tools/perf_compare.py diffs two such files and gates CI on >15% median
-// wall-time regressions and on any cost, wait or lb_gap drift (all seeded,
-// hence deterministic).
+// computed outside the timed call), each trial's work counts, plus host
+// metadata. tools/perf_compare.py diffs two such files and gates CI on any
+// cost, wait, lb_gap or churn drift and on any work count above the
+// baseline's; all are seeded, so they repeat on every host. Wall times are
+// recorded, not gated.
 //
 //   perfsuite [--out PATH] [--sha LABEL] [--trials N] [--gate]
 //             [--metrics-out PATH] [--trace-out PATH]
@@ -18,23 +19,16 @@
 // pretty-print it with tools/obs_dump. --trace-out enables the scoped-span
 // tracer before the matrix runs and writes Chrome trace-event JSON, loadable
 // in chrome://tracing or Perfetto. Both files are empty shells when the
-// build has DBS_OBS=OFF, since the no-op macros record nothing.
+// build has DBS_OBS=OFF, since the no-op macros record nothing; the BENCH
+// file then says "obs": false and has no work blocks.
 //
 // --gate shrinks the run for CI: the heavy configs are skipped (compare gate
 // files against a full baseline with perf_compare.py --subset), but every
-// light config keeps all its seeded trials, because the wall gate reads the
-// minimum wall/calibration ratio over them. Trials always run serially, one
-// at a time, so wall times measure the algorithm, not scheduler contention;
-// per-trial seeds are fixed, so every cost in the file is reproducible
-// bit-for-bit.
-//
-// Every trial is bracketed by a fixed floating-point calibration spin whose
-// wall time probes the host's effective speed at that instant (recorded as
-// "calib_ms"). perf_compare gates the minimum wall/calibration ratio, which
-// cancels host-wide clock swings — shared and burstable cloud machines
-// routinely vary 2x minute to minute, which would otherwise make any fixed
-// wall-time threshold meaningless.
+// light config keeps all its seeded trials. Trials always run serially, one
+// at a time, so each trial's counter growth is its own; per-trial seeds are
+// fixed, so every cost and count in the file is reproducible bit-for-bit.
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -53,6 +47,7 @@
 #include "core/kk_partition.h"
 #include "harness.h"
 #include "obs/metrics.h"
+#include "obs/obs.h"
 #include "obs/trace.h"
 #include "serve/server_loop.h"
 #include "workload/generator.h"
@@ -229,19 +224,37 @@ void json_metric(std::FILE* f, const char* key, const std::vector<double>& value
   std::fputs("}", f);
 }
 
-// The calibration spin: a serially-dependent FP chain whose work never
-// changes, so its wall time measures only how fast the host runs right now.
-// The volatile sink keeps the loop from being folded away; the dependent
-// multiply-add chain keeps it from vectorizing, so the spin scales with
-// clock speed the same way the schedulers' inner loops do.
-volatile double g_calibration_sink = 0.0;
+// The library counters a trial's work is measured by: CDS moves, Eq. 4
+// gains evaluated, index positions repaired, DRP split points priced and
+// the catalogue sort's radix passes. Each is deterministic per seed, so
+// perf_compare gates them exactly: a count above the baseline's on the same
+// trial is work a change added. A DBS_OBS=OFF build counts nothing.
+constexpr bool kCountsWork = DBS_OBS_ENABLED != 0;
+constexpr std::array<const char*, 5> kWorkCounters = {
+    "core.cds.iterations", "core.cds.moves_evaluated", "core.cds.index_repairs",
+    "core.partition.split_candidates", "model.database.radix_passes"};
+using WorkCounts = std::array<std::uint64_t, kWorkCounters.size()>;
 
-double calibration_spin_ms() {
-  const dbs::Stopwatch watch;
-  double acc = 1.0;
-  for (int i = 0; i < 1'000'000; ++i) acc = acc * 1.0000000001 + 1e-9;
-  g_calibration_sink = acc;
-  return watch.millis();
+WorkCounts work_counts() {
+  WorkCounts counts{};
+  for (std::size_t c = 0; c < counts.size(); ++c) {
+    counts[c] = dbs::obs::MetricsRegistry::global().counter(kWorkCounters[c]).value();
+  }
+  return counts;
+}
+
+// The work block: one per-trial count list per counter.
+void json_work(std::FILE* f, const std::vector<WorkCounts>& trials) {
+  std::fputs("      \"work\": {", f);
+  for (std::size_t c = 0; c < kWorkCounters.size(); ++c) {
+    std::fprintf(f, "%s\n        \"%s\": [", c == 0 ? "" : ",", kWorkCounters[c]);
+    for (std::size_t t = 0; t < trials.size(); ++t) {
+      std::fprintf(f, "%s%llu", t == 0 ? "" : ", ",
+                   static_cast<unsigned long long>(trials[t][c]));
+    }
+    std::fputc(']', f);
+  }
+  std::fputs("\n      }", f);
 }
 
 int usage(const char* argv0) {
@@ -259,8 +272,7 @@ int main(int argc, char** argv) {
   std::string sha = "local";
   Options options;
   options.trials = 9;
-  options.threads = 1;  // always serial: wall times must not share cores,
-                        // and calibration spins must bracket each trial
+  options.threads = 1;  // always serial (see the header comment)
   bool gate = false;
   std::string metrics_out;
   std::string trace_out;
@@ -293,11 +305,12 @@ int main(int argc, char** argv) {
               gate ? "gate" : "full");
 
   dbs::AsciiTable table({"config", "wall ms (median)", "wall ms (IQR)",
-                         "calib ms (median)", "cost (median)"});
+                         "cost (median)"});
   struct Row {
     const SuiteConfig* config;
-    std::vector<double> wall, calib, cost, wait, lb_gap;
+    std::vector<double> wall, cost, wait, lb_gap;
     std::vector<double> churn;  // serve_drift rows only
+    std::vector<WorkCounts> work;
   };
   std::vector<Row> rows;
   for (const SuiteConfig& config : kMatrix) {
@@ -309,15 +322,14 @@ int main(int argc, char** argv) {
                                   .skewness = config.skewness,
                                   .diversity = config.diversity,
                                   .seed = 0};
-    // Trials run one at a time so each can be bracketed by calibration
-    // spins; measure_trials seeds trial t of a batch as base + t, so a
-    // 1-trial batch at base + t reproduces exactly the same measurement.
+    // measure_trials seeds trial t of a batch as base + t, so a 1-trial
+    // batch at base + t reproduces exactly the same measurement.
     Row row{&config, {}, {}, {}, {}, {}, {}};
     Options one_trial = options;
     one_trial.trials = 1;
     one_trial.cds_max_iterations = config.cds_max_iterations;
     for (std::size_t trial = 0; trial < options.trials; ++trial) {
-      const double calib_before = calibration_spin_ms();
+      const WorkCounts before = kCountsWork ? work_counts() : WorkCounts{};
       double wall_ms, cost, wait, lb_gap;
       if (config.serve_drift) {
         const ServeDriftSample sample =
@@ -337,12 +349,12 @@ int main(int argc, char** argv) {
         wait = m.waiting_time;
         lb_gap = m.lb_gap;
       }
-      const double calib_after = calibration_spin_ms();
+      if (kCountsWork) {
+        WorkCounts grown = work_counts();
+        for (std::size_t c = 0; c < grown.size(); ++c) grown[c] -= before[c];
+        row.work.push_back(grown);
+      }
       row.wall.push_back(wall_ms);
-      // Timing noise only ever adds time, so the smaller spin is the truer
-      // probe of the host's speed around this trial; a preemption hitting
-      // one spin must not masquerade as the machine being slow.
-      row.calib.push_back(std::min(calib_before, calib_after));
       row.cost.push_back(cost);
       row.wait.push_back(wait);
       row.lb_gap.push_back(lb_gap);
@@ -350,7 +362,6 @@ int main(int argc, char** argv) {
     table.add_row(config.name,
                   {dbs::percentile(row.wall, 0.5),
                    dbs::percentile(row.wall, 0.75) - dbs::percentile(row.wall, 0.25),
-                   dbs::percentile(row.calib, 0.5),
                    dbs::percentile(row.cost, 0.5)},
                   3);
     rows.push_back(std::move(row));
@@ -368,6 +379,7 @@ int main(int argc, char** argv) {
   std::fprintf(f, "  \"mode\": \"%s\",\n", gate ? "gate" : "full");
   std::fprintf(f, "  \"trials\": %zu,\n", options.trials);
   std::fprintf(f, "  \"threads\": %zu,\n", options.threads);
+  std::fprintf(f, "  \"obs\": %s,\n", kCountsWork ? "true" : "false");
   std::fprintf(f, "  \"host\": {\"cpu_model\": \"%s\", \"hardware_threads\": %u, "
                "\"compiler\": \"%s\", \"build_flavor\": \"%s\"},\n",
                json_escape(cpu_model()).c_str(),
@@ -389,8 +401,6 @@ int main(int argc, char** argv) {
                  config.cds_max_iterations);
     json_metric(f, "wall_ms", rows[i].wall);
     std::fputs(",\n", f);
-    json_metric(f, "calib_ms", rows[i].calib);
-    std::fputs(",\n", f);
     json_metric(f, "cost", rows[i].cost);
     std::fputs(",\n", f);
     json_metric(f, "wait", rows[i].wait);
@@ -399,6 +409,10 @@ int main(int argc, char** argv) {
     if (!rows[i].churn.empty()) {
       std::fputs(",\n", f);
       json_metric(f, "churn", rows[i].churn);
+    }
+    if (kCountsWork) {
+      std::fputs(",\n", f);
+      json_work(f, rows[i].work);
     }
     std::fprintf(f, "\n    }%s\n", i + 1 < rows.size() ? "," : "");
   }

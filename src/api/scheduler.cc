@@ -107,7 +107,8 @@ ScheduleResult schedule(const Database& db, const ScheduleRequest& request) {
     }
     case Algorithm::kPortfolio:
       alloc = plan(db, request.channels, request.portfolio_deadline_ms,
-                   request.portfolio)
+                   {.cds_max_iterations = request.drp_cds.cds.max_iterations,
+                    .gopt = request.gopt})
                   .allocation;
       break;
   }

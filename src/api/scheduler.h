@@ -8,7 +8,6 @@
 #include <string_view>
 #include <vector>
 
-#include "api/portfolio.h"
 #include "baselines/gopt.h"
 #include "core/drp_cds.h"
 #include "model/allocation.h"
@@ -63,9 +62,9 @@ struct ScheduleRequest {
   Algorithm algorithm = Algorithm::kDrpCds;
   ChannelId channels = 4;
   double bandwidth = 10.0;  ///< for the reported waiting time (paper Table 5)
-  DrpCdsOptions drp_cds;    ///< used by kDrp / kDrpCds
-  GoptOptions gopt;         ///< used by kGopt
-  PortfolioOptions portfolio;  ///< used by kPortfolio
+  /// Used by kDrp / kDrpCds; kPortfolio's CDS racers take its CDS move cap.
+  DrpCdsOptions drp_cds;
+  GoptOptions gopt;  ///< used by kGopt and by kPortfolio's GA racer
   /// Race budget for kPortfolio, in milliseconds (see api/portfolio.h).
   double portfolio_deadline_ms = 250.0;
 };

@@ -1,6 +1,7 @@
 #include "baselines/annealing.h"
 
 #include <cmath>
+#include <cstdint>
 
 #include "baselines/greedy.h"
 #include "common/check.h"
@@ -11,6 +12,7 @@ namespace {
 
 constexpr double kInitialTemperature = 0.05;  // share of the start's cost
 constexpr double kCooling = 0.9999;           // geometric factor per step
+constexpr std::uint64_t kSeed = 7;            // seeds the proposal stream
 
 }  // namespace
 
@@ -20,7 +22,7 @@ AnnealResult run_annealing(const Database& db, ChannelId channels,
   DBS_CHECK(channels >= 1);
   DBS_CHECK_MSG(channels <= n, "cannot fill more channels than items");
 
-  Rng rng(options.seed);
+  Rng rng(kSeed);
 
   Allocation current = greedy_insertion(db, channels);
   double current_cost = current.cost();

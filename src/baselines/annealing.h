@@ -3,11 +3,11 @@
 // moves using the O(1) reduction of Eq. (4), accepting uphill moves with the
 // Metropolis rule under a geometric cooling schedule, and remembers the best
 // allocation visited. The schedule is fixed: the temperature starts at 5% of
-// the greedy start's cost and cools by a factor 0.9999 per step.
+// the greedy start's cost and cools by a factor 0.9999 per step, and the
+// proposals come from one fixed seed, so a run depends only on its inputs.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 
 #include "model/allocation.h"
 #include "model/database.h"
@@ -18,7 +18,6 @@ namespace dbs {
 /// DRP-CDS on the paper's workload sizes while staying well under GOPT cost.
 struct AnnealOptions {
   std::size_t steps = 200'000;     ///< proposed moves
-  std::uint64_t seed = 7;
 };
 
 /// Annealing outcome.

@@ -6,8 +6,7 @@
 // arguments unevaluated (odr-used via sizeof, so kill-switched builds still
 // type-check the call sites). With the switch on (the default), each macro
 // resolves its instrument once per call site through a function-local static
-// reference, so the steady-state cost is a single relaxed atomic op —
-// verified against the 15% clock-normalized perf gate by `perfsuite`.
+// reference, so the steady-state cost is a single relaxed atomic op.
 //
 // Metric names must be snake_case.dotted.namespace ("core.cds.iterations");
 // the registry DBS_CHECKs this at registration and tools/dbs_lint.py's

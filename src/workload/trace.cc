@@ -24,17 +24,4 @@ std::vector<Request> generate_trace(const Database& db, const TraceConfig& confi
   return trace;
 }
 
-std::vector<double> trace_popularity(const std::vector<Request>& trace,
-                                     std::size_t items) {
-  std::vector<double> hist(items, 0.0);
-  for (const Request& r : trace) {
-    DBS_CHECK(r.item < items);
-    hist[r.item] += 1.0;
-  }
-  if (!trace.empty()) {
-    for (double& h : hist) h /= static_cast<double>(trace.size());
-  }
-  return hist;
-}
-
 }  // namespace dbs

@@ -30,8 +30,4 @@ struct TraceConfig {
 /// Poisson process of the configured rate. Times are strictly increasing.
 std::vector<Request> generate_trace(const Database& db, const TraceConfig& config);
 
-/// Empirical item-request histogram of a trace, normalized to probabilities.
-std::vector<double> trace_popularity(const std::vector<Request>& trace,
-                                     std::size_t items);
-
 }  // namespace dbs

@@ -11,12 +11,7 @@
 namespace dbs {
 namespace {
 
-AnnealOptions quick_anneal(std::uint64_t seed = 7) {
-  AnnealOptions o;
-  o.steps = 40'000;
-  o.seed = seed;
-  return o;
-}
+AnnealOptions quick_anneal() { return {.steps = 40'000}; }
 
 TEST(Annealing, ProducesValidAllocation) {
   const Database db = generate_database({.items = 50, .diversity = 2.0, .seed = 1});
@@ -29,8 +24,8 @@ TEST(Annealing, ProducesValidAllocation) {
 
 TEST(Annealing, DeterministicForFixedSeed) {
   const Database db = generate_database({.items = 40, .seed = 2});
-  const AnnealResult a = run_annealing(db, 4, quick_anneal(3));
-  const AnnealResult b = run_annealing(db, 4, quick_anneal(3));
+  const AnnealResult a = run_annealing(db, 4, quick_anneal());
+  const AnnealResult b = run_annealing(db, 4, quick_anneal());
   EXPECT_EQ(a.allocation.assignment(), b.allocation.assignment());
   EXPECT_EQ(a.accepted, b.accepted);
 }
@@ -49,7 +44,7 @@ TEST(Annealing, NearExactOptimumOnSmallInstances) {
                                            .seed = seed});
     const auto exact = brute_force_optimal(db, 3);
     ASSERT_TRUE(exact.has_value());
-    const AnnealResult r = run_annealing(db, 3, quick_anneal(seed));
+    const AnnealResult r = run_annealing(db, 3, quick_anneal());
     EXPECT_LE(r.cost, exact->cost * 1.02 + 1e-12) << "seed " << seed;
     EXPECT_GE(r.cost, exact->cost - 1e-9) << "seed " << seed;
   }

@@ -267,7 +267,7 @@ TEST(Portfolio, RunsThroughTheSchedulerFacade) {
   ScheduleRequest request;
   request.algorithm = Algorithm::kPortfolio;
   request.channels = 4;
-  request.portfolio.gopt = small_gopt();
+  request.gopt = small_gopt();
   request.portfolio_deadline_ms = kGenerousDeadlineMs;
   const ScheduleResult result = schedule(db, request);
   std::string error;

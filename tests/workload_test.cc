@@ -129,20 +129,6 @@ TEST(Trace, InterArrivalMeanMatchesRate) {
   EXPECT_NEAR(mean_gap, 1.0 / rate, 0.01);
 }
 
-TEST(Trace, PopularityTracksFrequencies) {
-  const Database db = generate_database({.items = 12, .skewness = 1.2, .seed = 10});
-  const auto trace = generate_trace(db, {.requests = 100000, .seed = 3});
-  const auto hist = trace_popularity(trace, db.size());
-  for (ItemId id = 0; id < db.size(); ++id) {
-    EXPECT_NEAR(hist[id], db.item(id).freq, 0.01) << "item " << id;
-  }
-}
-
-TEST(Trace, PopularityOfEmptyTraceIsZero) {
-  const auto hist = trace_popularity({}, 4);
-  for (double h : hist) EXPECT_DOUBLE_EQ(h, 0.0);
-}
-
 TEST(Trace, RejectsNonPositiveRate) {
   const Database db = generate_database({.items = 5, .seed = 1});
   EXPECT_THROW(generate_trace(db, {.requests = 10, .arrival_rate = 0.0}),

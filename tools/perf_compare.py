@@ -2,59 +2,53 @@
 """perf_compare: diff two perfsuite BENCH_*.json files and gate regressions.
 
 Usage:
-    tools/perf_compare.py OLD NEW [options]
+    tools/perf_compare.py OLD NEW [--subset]
     tools/perf_compare.py --selftest
 
 OLD and NEW are files written by `build/bench/perfsuite`. OLD may also be a
-directory (typically `bench/baselines/`): the file named by its `LATEST`
-pointer is used, and a missing pointer exits 77 so a ctest gate registered
-with SKIP_RETURN_CODE 77 reports "skipped" instead of failing on a branch
-that predates the first committed baseline. A second pointer line
-`wall-baseline: BENCH_<x>.json` names an older snapshot whose wall times
-keep gating (host check and wall gate below) while the first file's costs
-gate: an intentional cost change re-anchors the costs without moving the
-speed floor to whatever host happened to record them.
+directory (typically `bench/baselines/`): the file named by its one-line
+`LATEST` pointer is used, and a missing pointer exits 77 so a ctest gate
+registered with SKIP_RETURN_CODE 77 reports "skipped" instead of failing on
+a branch that predates the first committed baseline.
 
-Checks, in order:
+Every gated number is seeded, so it is the same on every host and build
+flavour, and every check is exact. Checks, in order:
 
   schema      Both files must parse as JSON and carry the dbs-bench-v1
-              schema with the expected keys. Violations exit 2.
+              schema with the expected keys, and LATEST must hold exactly
+              one line. Violations exit 2.
   coverage    Every config in OLD must exist in NEW (same `name`) with the
               same workload parameters. Missing configs fail unless
               --subset is given (used by `perfsuite --gate`, which skips
               heavy configs); parameter drift always fails because numbers
               measured on different workloads are not comparable.
-  cost        Per-trial costs, waiting times and lb_gap (cost ÷ the KSY
-              lower bound) are seeded, hence deterministic: they are
-              compared element-wise over the common trial prefix with
-              relative tolerance 1e-9. A metric either file lacks is not
-              gated, so snapshots written before it existed still parse.
-              Any drift fails — an intentional algorithm change must
-              regenerate the baseline (see docs/BENCHMARKING.md).
-  time        Median wall time per config: NEW > OLD * (1 + --max-regression)
-              fails, OLD being the wall baseline (the cost baseline unless
-              LATEST names another; configs it lacks are not gated). Only
-              runs when both files report the same host
-              fingerprint (cpu_model + build_flavor) or --force-time is
-              given — cross-host or sanitizer-build wall times are not
-              comparable. Configs whose OLD median is below --min-ms are
-              treated as noise and never gated. When both files carry
-              per-trial calibration spins (`calib_ms`, written by current
-              perfsuite builds), the gated quantity is the *minimum*
-              wall/calibration ratio over the common trial prefix instead
-              of the raw wall median: the spin does fixed work, so
-              host-wide clock swings (shared/burstable machines vary 2x
-              minute to minute) cancel out of the ratio, and the minimum
-              discards one-sided scheduling noise that hits a trial
-              without hitting its bracketing spins.
+  results     Per-trial cost, waiting time, lb_gap (cost ÷ the KSY lower
+              bound) and churn are compared element-wise over the common
+              trial prefix with relative tolerance 1e-9. A metric either
+              file lacks is not gated, so snapshots written before it
+              existed still parse. Any drift fails — an intentional
+              algorithm change must regenerate the baseline (see
+              docs/BENCHMARKING.md).
+  work        The `work` block holds per-trial counts of the library's work
+              counters (CDS moves, gains evaluated, index repairs, split
+              points priced, radix passes). A count above OLD's on a shared
+              trial fails; a count below it passes and is reported. A config
+              without work in OLD is not gated. A NEW file built with
+              DBS_OBS=OFF says so (`"obs": false`) and counted nothing, so
+              its work is not gated and the output says why; any other NEW
+              config that lacks a counter OLD has fails.
 
-Exit status: 0 clean (or time-gate skipped), 1 regression found,
-2 malformed input, 77 no baseline available.
+Wall times (`wall_ms`) are printed for every config but never gated: on a
+shared host they move with co-tenant load, and the counts of work do not.
+
+Exit status: 0 clean, 1 regression found, 2 malformed input, 77 no
+baseline available.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
 from pathlib import Path
@@ -62,7 +56,8 @@ from pathlib import Path
 SCHEMA = "dbs-bench-v1"
 PARAM_KEYS = ("algorithm", "items", "channels", "skewness", "diversity",
               "bandwidth", "base_seed")
-COST_TOLERANCE = 1e-9
+RESULT_METRICS = ("cost", "wait", "lb_gap", "churn")
+RESULT_TOLERANCE = 1e-9
 
 
 class Malformed(Exception):
@@ -92,65 +87,34 @@ def load_bench(path: Path) -> dict:
                     or not block["per_trial"]:
                 raise Malformed(f"{path}: config {config['name']!r} has a "
                                 f"malformed {metric!r} block")
+        work = config.get("work", {})
+        if not isinstance(work, dict) or not all(
+                isinstance(counts, list)
+                and all(isinstance(n, int) and n >= 0 for n in counts)
+                for counts in work.values()):
+            raise Malformed(f"{path}: config {config['name']!r} has a "
+                            "malformed 'work' block")
     return data
 
 
-WALL_BASELINE_KEY = "wall-baseline:"
-
-
-def resolve_baseline(arg: Path) -> tuple[Path, Path | None]:
-    """A directory argument is resolved through its LATEST pointer file into
-    (cost baseline, wall baseline or None when it is the same file)."""
+def resolve_baseline(arg: Path) -> Path:
+    """A directory argument is resolved through its one-line LATEST pointer."""
     if not arg.is_dir():
-        return arg, None
+        return arg
     pointer = arg / "LATEST"
     if not pointer.is_file():
         print(f"perf_compare: no {pointer} — no baseline to gate against; "
               "skipping", file=sys.stderr)
         sys.exit(77)
-    lines = pointer.read_text(encoding="utf-8").split("\n")
-    names = [lines[0].strip()]
-    for line in filter(None, (l.strip() for l in lines[1:])):
-        if not line.startswith(WALL_BASELINE_KEY) or len(names) > 1:
-            raise Malformed(f"{pointer}: unexpected line {line!r}")
-        names.append(line[len(WALL_BASELINE_KEY):].strip())
-    paths = [arg / name for name in names]
-    for name, path in zip(names, paths):
-        if not path.is_file():
-            raise Malformed(f"{pointer} names {name!r} but {path} is missing")
-    return paths[0], paths[1] if len(paths) > 1 else None
-
-
-def host_fingerprint(data: dict) -> tuple:
-    host = data.get("host", {})
-    return (host.get("cpu_model", "?"), host.get("build_flavor", "?"))
-
-
-def normalized_wall_floor(config: dict, trials: int):
-    """Minimum wall/calibration ratio over the first `trials` trials, or
-    None when the config has no usable `calib_ms` block.
-
-    The minimum, not the median: timing noise is one-sided (preemptions and
-    slow windows only ever add time), so the smallest observed ratio is the
-    best estimate of the config's intrinsic cost in spin units. The prefix
-    restriction matters because trials are distinct seeded workloads with
-    different intrinsic work — a 3-trial gate file and a 9-trial baseline
-    are only comparable over the trials they share, exactly like the cost
-    determinism check.
-
-    Files written before calibration existed (or hand-built fixtures) lack
-    `calib_ms`; returning None falls back to raw wall medians so old
-    baselines keep gating.
-    """
-    calib = config.get("calib_ms")
-    if not isinstance(calib, dict):
-        return None
-    walls = config["wall_ms"]["per_trial"]
-    spins = calib.get("per_trial")
-    if not isinstance(spins, list) or len(spins) != len(walls) \
-            or any(not isinstance(s, (int, float)) or s <= 0 for s in spins):
-        return None
-    return min(w / s for w, s in zip(walls[:trials], spins[:trials]))
+    names = [line.strip() for line in
+             pointer.read_text(encoding="utf-8").splitlines() if line.strip()]
+    if len(names) != 1:
+        raise Malformed(f"{pointer}: must name exactly one snapshot, "
+                        f"found {len(names)} lines")
+    path = arg / names[0]
+    if not path.is_file():
+        raise Malformed(f"{pointer} names {names[0]!r} but {path} is missing")
+    return path
 
 
 def relative_delta(old: float, new: float) -> float:
@@ -160,21 +124,59 @@ def relative_delta(old: float, new: float) -> float:
     return abs(new - old) / scale
 
 
-def compare(old: dict, new: dict, *, max_regression: float, min_ms: float,
-            subset: bool, force_time: bool, wall: dict | None = None,
-            out=sys.stdout) -> int:
-    """Gates NEW's costs against OLD and its wall times against `wall`
-    (OLD itself when None)."""
+def result_drift(old_config: dict, new_config: dict) -> str | None:
+    """The first per-trial result that differs, or None."""
+    for metric in RESULT_METRICS:
+        if metric not in old_config or metric not in new_config:
+            continue
+        old_trials = old_config[metric]["per_trial"]
+        new_trials = new_config[metric]["per_trial"]
+        for t, (old, new) in enumerate(zip(old_trials, new_trials)):
+            delta = relative_delta(old, new)
+            if delta > RESULT_TOLERANCE:
+                return (f"{metric} drifted at trial {t} ({old:.17g} -> "
+                        f"{new:.17g}, rel {delta:.2e}) — same seed must give "
+                        "the same result; regenerate the baseline if "
+                        "intentional")
+    return None
+
+
+def work_change(old_config: dict, new_config: dict) -> tuple[list, list]:
+    """(rises, drops): one message per counter that rose above OLD on some
+    shared trial or that NEW lacks, and one per counter that fell on some
+    trial and rose on none."""
+    if "work" not in new_config:
+        return ["NEW lacks the work block OLD has"], []
+    rises, drops = [], []
+    for counter, old_counts in old_config["work"].items():
+        new_counts = new_config["work"].get(counter)
+        if new_counts is None:
+            rises.append(f"NEW lacks the {counter} counts OLD has")
+            continue
+        shared = list(zip(old_counts, new_counts))
+        old_sum = sum(old for old, _ in shared)
+        new_sum = sum(new for _, new in shared)
+        total = (f"{old_sum} -> {new_sum} over {len(shared)} trials, "
+                 f"{(new_sum - old_sum) / max(old_sum, 1) * 100.0:+.2f}%")
+        risen = [t for t, (old, new) in enumerate(shared) if new > old]
+        if risen:
+            old, new = shared[risen[0]]
+            rises.append(f"work rose: {counter} at trial {risen[0]} "
+                         f"({old} -> {new}; {total})")
+        elif new_sum < old_sum:
+            drops.append(f"{counter} {total}")
+    return rises, drops
+
+
+def compare(old: dict, new: dict, *, subset: bool, out=sys.stdout) -> int:
+    """Gates NEW's results and work against OLD's."""
     failures = 0
     new_by_name = {c["name"]: c for c in new["configs"]}
-    wall = old if wall is None else wall
-    wall_by_name = {c["name"]: c for c in wall["configs"]}
-
-    time_comparable = force_time or host_fingerprint(wall) == host_fingerprint(new)
-    if not time_comparable:
-        print(f"perf_compare: host fingerprints differ "
-              f"({host_fingerprint(wall)} vs {host_fingerprint(new)}); "
-              "wall-time gate skipped, cost gate still enforced", file=out)
+    counted = new.get("obs", True)
+    if not counted:
+        print("perf_compare: work not gated — NEW was built with "
+              "DBS_OBS=OFF, so the library counted nothing; results still "
+              "gated", file=out)
 
     for old_config in old["configs"]:
         name = old_config["name"]
@@ -194,73 +196,33 @@ def compare(old: dict, new: dict, *, max_regression: float, min_ms: float,
             failures += 1
             continue
 
-        # Determinism gate: seeded costs must match trial-for-trial.
-        config_ok = True
-        for metric in ("cost", "wait", "lb_gap"):
-            if metric not in old_config or metric not in new_config:
-                continue
-            old_trials = old_config[metric]["per_trial"]
-            new_trials = new_config[metric]["per_trial"]
-            shared = min(len(old_trials), len(new_trials))
-            for t in range(shared):
-                delta = relative_delta(old_trials[t], new_trials[t])
-                if delta > COST_TOLERANCE:
-                    print(f"FAIL {name}: {metric} drifted at trial {t} "
-                          f"({old_trials[t]:.17g} -> {new_trials[t]:.17g}, "
-                          f"rel {delta:.2e}) — same seed must give the same "
-                          "result; regenerate the baseline if intentional",
-                          file=out)
-                    failures += 1
-                    config_ok = False
-                    break
-            if not config_ok:
-                break
-        if not config_ok:
+        drift = result_drift(old_config, new_config)
+        if drift is not None:
+            print(f"FAIL {name}: {drift}", file=out)
+            failures += 1
             continue
 
-        wall_config = wall_by_name.get(name)
-        if wall_config is None or any(wall_config[k] != new_config[k]
-                                      for k in PARAM_KEYS):
-            print(f"  ok {name}: cost deterministic (no wall baseline for "
-                  "this config, wall not gated)", file=out)
+        wall = (f"wall {float(old_config['wall_ms']['median']):.3f} -> "
+                f"{float(new_config['wall_ms']['median']):.3f} ms, not gated")
+        if "work" not in old_config:
+            print(f"  ok {name}: results deterministic, no work baseline "
+                  f"({wall})", file=out)
             continue
-        old_median = float(wall_config["wall_ms"]["median"])
-        new_median = float(new_config["wall_ms"]["median"])
-        if not time_comparable:
-            print(f"  ok {name}: cost deterministic "
-                  f"(wall {old_median:.3f} -> {new_median:.3f} ms, not gated)",
-                  file=out)
+        if not counted:
+            print(f"  ok {name}: results deterministic ({wall})", file=out)
             continue
-        if old_median < min_ms:
-            print(f"  ok {name}: below noise floor "
-                  f"({old_median:.3f} ms < {min_ms:.3f} ms, wall not gated)",
-                  file=out)
-            continue
-        shared_trials = min(len(wall_config["wall_ms"]["per_trial"]),
-                            len(new_config["wall_ms"]["per_trial"]))
-        old_norm = normalized_wall_floor(wall_config, shared_trials)
-        new_norm = normalized_wall_floor(new_config, shared_trials)
-        if old_norm is not None and new_norm is not None:
-            # Clock-normalized gate: the ratio of work to a fixed spin is
-            # immune to host-wide speed swings between the two runs.
-            ratio = new_norm / old_norm if old_norm > 0 else float("inf")
-            shown = (f"{old_norm:.2f} -> {new_norm:.2f} x calib "
-                     f"(raw {old_median:.3f} -> {new_median:.3f} ms)")
-        else:
-            ratio = new_median / old_median if old_median > 0 else float("inf")
-            shown = f"{old_median:.3f} -> {new_median:.3f} ms"
-        if ratio > 1.0 + max_regression:
-            print(f"FAIL {name}: wall-time regression {shown} "
-                  f"(+{(ratio - 1.0) * 100.0:.1f}% > {max_regression * 100.0:.0f}%)",
-                  file=out)
+        rises, drops = work_change(old_config, new_config)
+        if rises:
+            for rise in rises:
+                print(f"FAIL {name}: {rise}", file=out)
             failures += 1
-        elif ratio < 1.0 - max_regression:
-            print(f"  ok {name}: improvement {shown} "
-                  f"({(1.0 - ratio) * 100.0:.1f}% faster — "
-                  "consider refreshing the baseline)", file=out)
+        elif drops:
+            print(f"  ok {name}: results deterministic, work dropped: "
+                  f"{'; '.join(drops)} — refresh the baseline to keep the "
+                  f"gain ({wall})", file=out)
         else:
-            print(f"  ok {name}: {shown} "
-                  f"({(ratio - 1.0) * 100.0:+.1f}%)", file=out)
+            print(f"  ok {name}: results deterministic, work equal ({wall})",
+                  file=out)
 
     if failures:
         print(f"perf_compare: {failures} regression(s)", file=out)
@@ -269,65 +231,75 @@ def compare(old: dict, new: dict, *, max_regression: float, min_ms: float,
     return 0
 
 
+def gate(old_arg: Path, new_arg: Path, *, subset: bool, out=sys.stdout,
+         err=sys.stderr) -> int:
+    try:
+        old = load_bench(resolve_baseline(old_arg))
+        new = load_bench(new_arg)
+    except Malformed as error:
+        print(f"perf_compare: {error}", file=err)
+        return 2
+    return compare(old, new, subset=subset, out=out)
+
+
 # ---------------------------------------------------------------------------
 # Golden-file selftest (fixtures under tools/perf_cases/)
 # ---------------------------------------------------------------------------
 
 def selftest() -> int:
     """Exercises the comparator on the golden files in tools/perf_cases/ and
-    checks each scenario produces the expected exit code."""
+    checks each scenario's exit code and, where given, a phrase its output
+    must contain."""
     cases_dir = Path(__file__).resolve().parent / "perf_cases"
     if not cases_dir.is_dir():
         print(f"selftest: missing {cases_dir}", file=sys.stderr)
         return 2
 
     def run(old_name: str, new_name: str, expect: int, *, subset=False,
-            wall_name=None, label: str) -> bool:
-        try:
-            old = load_bench(cases_dir / old_name)
-            new = load_bench(cases_dir / new_name)
-            wall = load_bench(cases_dir / wall_name) if wall_name else None
-        except Malformed as err:
-            got = 2
-            detail = str(err)
-        else:
-            import io
-            sink = io.StringIO()
-            got = compare(old, new, max_regression=0.15, min_ms=1.0,
-                          subset=subset, force_time=False, wall=wall, out=sink)
-            detail = sink.getvalue().strip().splitlines()[-1]
-        ok = got == expect
+            says: str | None = None, label: str) -> bool:
+        sink = io.StringIO()
+        got = gate(cases_dir / old_name, cases_dir / new_name, subset=subset,
+                   out=sink, err=sink)
+        output = sink.getvalue()
+        ok = got == expect and (says is None or says in output)
+        detail = output.strip().splitlines()[-1]
         print(f"selftest {'ok  ' if ok else 'FAIL'} {label}: "
               f"expected exit {expect}, got {got} ({detail})")
+        if not ok and says is not None:
+            print(f"  expected the output to contain {says!r}:\n{output}")
         return ok
 
     checks = [
-        run("base.json", "pass.json", 0, label="pass (within threshold)"),
-        run("base.json", "regress.json", 1, label="regress (>15% wall time)"),
+        run("base.json", "pass.json", 0, says="not gated",
+            label="same results, slower wall (wall is not gated)"),
         run("base.json", "cost_drift.json", 1, label="cost drift (determinism)"),
         run("base.json", "malformed.json", 2, label="malformed JSON"),
         run("base.json", "subset.json", 1, label="missing config w/o --subset"),
         run("base.json", "subset.json", 0, subset=True,
             label="missing config with --subset"),
-        run("base.json", "other_host.json", 0,
-            label="foreign host (time gate auto-skips)"),
         run("base.json", "param_drift.json", 1, label="workload param drift"),
-        run("calib_base.json", "clock_pass.json", 0,
-            label="host clock swing (wall 2x, calib 2x — normalized pass)"),
-        run("calib_base.json", "clock_regress.json", 1,
-            label="real regression under calibration (wall 2x, calib flat)"),
-        run("calib_base.json", "pass.json", 0,
-            label="one-sided calib falls back to raw wall medians"),
-        run("base.json", "regress.json", 0, wall_name="other_host.json",
-            label="foreign wall baseline (time gate auto-skips)"),
-        run("base.json", "cost_drift.json", 1, wall_name="other_host.json",
-            label="cost drift with a separate wall baseline"),
-        run("other_host.json", "regress.json", 1, wall_name="base.json",
-            label="wall baseline gates wall time, not the cost baseline"),
         run("base.json", "gap_base.json", 0,
             label="lb_gap absent from OLD is not gated"),
         run("gap_base.json", "gap_drift.json", 1,
             label="lb_gap drift (determinism)"),
+        run("work_base.json", "churn_drift.json", 1, says="churn drifted",
+            label="churn drift (determinism)"),
+        run("work_base.json", "work_equal.json", 0, says="work equal",
+            label="equal work passes"),
+        run("work_base.json", "work_rise.json", 1,
+            says="FAIL serve/rotate: work rose: core.cds.moves_evaluated",
+            label="a work rise fails, naming the row and the counter"),
+        run("work_base.json", "work_drop.json", 0,
+            says="work dropped: core.partition.split_candidates",
+            label="a work drop passes and is reported"),
+        run("work_absent.json", "work_rise.json", 0, says="no work baseline",
+            label="work missing from OLD is not gated"),
+        run("work_base.json", "work_obs_off.json", 0, says="DBS_OBS=OFF",
+            label="NEW from a DBS_OBS=OFF build: work not gated, and said so"),
+        run("work_base.json", "work_absent.json", 1, says="lacks the work block",
+            label="NEW from a DBS_OBS=ON build without OLD's work fails"),
+        run("two_line_latest", "work_equal.json", 2, says="exactly one",
+            label="a second line in LATEST is malformed"),
     ]
     if all(checks):
         print("selftest: all golden cases behave")
@@ -344,16 +316,9 @@ def main(argv=None) -> int:
                              "LATEST pointer (e.g. bench/baselines)")
     parser.add_argument("new", nargs="?", type=Path,
                         help="freshly measured BENCH json")
-    parser.add_argument("--max-regression", type=float, default=0.15,
-                        help="allowed median wall-time growth (default 0.15)")
-    parser.add_argument("--min-ms", type=float, default=1.0,
-                        help="noise floor: skip wall gating below this old "
-                             "median (default 1.0 ms)")
     parser.add_argument("--subset", action="store_true",
                         help="allow NEW to cover a subset of OLD's configs "
                              "(gate-mode files skip heavy configs)")
-    parser.add_argument("--force-time", action="store_true",
-                        help="gate wall time even across host fingerprints")
     parser.add_argument("--selftest", action="store_true",
                         help="run the golden cases in tools/perf_cases/")
     args = parser.parse_args(argv)
@@ -362,17 +327,7 @@ def main(argv=None) -> int:
         return selftest()
     if args.old is None or args.new is None:
         parser.error("OLD and NEW are required unless --selftest is given")
-    try:
-        old_path, wall_path = resolve_baseline(args.old)
-        old = load_bench(old_path)
-        wall = load_bench(wall_path) if wall_path else None
-        new = load_bench(args.new)
-    except Malformed as err:
-        print(f"perf_compare: {err}", file=sys.stderr)
-        return 2
-    return compare(old, new, max_regression=args.max_regression,
-                   min_ms=args.min_ms, subset=args.subset,
-                   force_time=args.force_time, wall=wall)
+    return gate(args.old, args.new, subset=args.subset)
 
 
 if __name__ == "__main__":
