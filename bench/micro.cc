@@ -1,7 +1,7 @@
 // Microbenchmarks (google-benchmark) for the primitive operations behind the
 // paper's complexity analysis: the O(N) partition scan, the O(1) Δc formula,
-// single CDS sweeps, full DRP / DRP-CDS / VF^K / GOPT runs, and the workload
-// generator and simulator substrates.
+// single CDS sweeps, full DRP / DRP-CDS / VF^K / GOPT runs, the workload
+// generator and simulator substrates, and the broadcast program build.
 #include <benchmark/benchmark.h>
 
 #include "baselines/annealing.h"
@@ -203,5 +203,25 @@ void BM_AnalyticReplay(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 5000);
 }
 BENCHMARK(BM_AnalyticReplay)->Unit(benchmark::kMillisecond);
+
+// The program build alone. The generator shuffles ids, so a DRP channel's
+// items spread over the whole id range. (10^6, 512) is e2ebench
+// plan_scale's shape.
+void BM_ProgramBuild(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const auto k = static_cast<ChannelId>(state.range(1));
+  const Database db = make_db(n);
+  const Allocation alloc = run_drp(db, k).allocation;
+  for (auto _ : state) {
+    BroadcastProgram program(alloc, 10.0);
+    benchmark::DoNotOptimize(program);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(n));
+}
+BENCHMARK(BM_ProgramBuild)
+    ->Args({100000, 64})
+    ->Args({1000000, 512})
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace

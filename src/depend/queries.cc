@@ -96,7 +96,7 @@ QueryLatencyReport evaluate_query_workload(const BroadcastProgram& program,
   // longest cycle as the sampling window — per-channel phases are periodic).
   double window = 0.0;
   for (ChannelId c = 0; c < program.channels(); ++c) {
-    window = std::max(window, program.schedule(c).cycle_time);
+    window = std::max(window, program.cycle_time(c));
   }
   if (window <= 0.0) window = 1.0;
 

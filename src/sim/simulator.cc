@@ -68,11 +68,15 @@ SimReport simulate(const BroadcastProgram& program, const std::vector<Request>& 
     std::size_t next_slot = 0;
   };
   std::vector<ChannelCursor> cursors(channels);
+  // Built once: schedule(c) materializes a channel's slots on every call.
+  std::vector<ChannelSchedule> schedules;
+  schedules.reserve(channels);
+  for (ChannelId c = 0; c < channels; ++c) schedules.push_back(program.schedule(c));
 
   // Forward declaration trick: store the slot handler in a std::function so
   // it can reschedule itself each cycle.
   std::function<void(ChannelId)> start_slot = [&](ChannelId c) {
-    const ChannelSchedule& sched = program.schedule(c);
+    const ChannelSchedule& sched = schedules[c];
     if (sched.slots.empty()) return;  // idle channel: nothing ever broadcast
     const Slot& slot = sched.slots[cursors[c].next_slot];
     const double start_time = queue.now();
@@ -95,8 +99,7 @@ SimReport simulate(const BroadcastProgram& program, const std::vector<Request>& 
         }
         boarded_it->second.clear();
       }
-      cursors[c].next_slot =
-          (cursors[c].next_slot + 1) % program.schedule(c).slots.size();
+      cursors[c].next_slot = (cursors[c].next_slot + 1) % schedules[c].slots.size();
       if (outstanding > 0) start_slot(c);  // keep broadcasting while needed
     });
   };
