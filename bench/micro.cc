@@ -8,7 +8,6 @@
 #include "baselines/gopt.h"
 #include "baselines/vfk.h"
 #include "common/distributions.h"
-#include "replication/min_wait.h"
 #include "core/cds.h"
 #include "core/drp.h"
 #include "core/drp_cds.h"
@@ -169,14 +168,6 @@ void BM_Annealing(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Annealing)->Unit(benchmark::kMillisecond);
-
-void BM_ExpectedMinUniform(benchmark::State& state) {
-  const std::vector<double> cycles = {3.0, 7.5, 11.0, 4.2};
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(expected_min_uniform(cycles));
-  }
-}
-BENCHMARK(BM_ExpectedMinUniform);
 
 void BM_SimulatorThroughput(benchmark::State& state) {
   const Database db = make_db(100);

@@ -75,15 +75,4 @@ double sample_exponential(Rng& rng, double rate) {
   return -std::log(1.0 - rng.uniform01()) / rate;
 }
 
-std::size_t sample_discrete_cdf(Rng& rng, const std::vector<double>& probabilities) {
-  DBS_CHECK(!probabilities.empty());
-  const double u = rng.uniform01();
-  double acc = 0.0;
-  for (std::size_t i = 0; i < probabilities.size(); ++i) {
-    acc += probabilities[i];
-    if (u < acc) return i;
-  }
-  return probabilities.size() - 1;  // guard against rounding at the tail
-}
-
 }  // namespace dbs

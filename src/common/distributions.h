@@ -40,8 +40,4 @@ class AliasSampler {
 /// time). Used by the simulator's client arrival process.
 double sample_exponential(Rng& rng, double rate);
 
-/// Samples from Zipf by inversion over the exact probability vector.
-/// Convenience wrapper for small n; prefer AliasSampler for repeated draws.
-std::size_t sample_discrete_cdf(Rng& rng, const std::vector<double>& probabilities);
-
 }  // namespace dbs

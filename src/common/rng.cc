@@ -76,8 +76,4 @@ bool Rng::chance(double p) {
 
 Rng Rng::split() { return Rng((*this)()); }
 
-void Rng::discard(std::uint64_t n) {
-  for (std::uint64_t i = 0; i < n; ++i) (void)(*this)();
-}
-
 }  // namespace dbs

@@ -52,9 +52,6 @@ class Rng {
   /// generator's stream so sub-components do not share state.
   Rng split();
 
-  /// Long-jump equivalent: discards n outputs.
-  void discard(std::uint64_t n);
-
  private:
   std::array<std::uint64_t, 4> s_;
 };

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 
 #include "common/check.h"
 
@@ -19,23 +18,6 @@ void RunningStats::add(double x) {
   const double delta = x - mean_;
   mean_ += delta / static_cast<double>(count_);
   m2_ += delta * (x - mean_);
-}
-
-void RunningStats::merge(const RunningStats& other) {
-  if (other.count_ == 0) return;
-  if (count_ == 0) {
-    *this = other;
-    return;
-  }
-  const double na = static_cast<double>(count_);
-  const double nb = static_cast<double>(other.count_);
-  const double delta = other.mean_ - mean_;
-  const double n = na + nb;
-  mean_ += delta * nb / n;
-  m2_ += other.m2_ + delta * delta * na * nb / n;
-  count_ += other.count_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
 }
 
 double RunningStats::mean() const { return count_ == 0 ? 0.0 : mean_; }
@@ -60,13 +42,6 @@ double percentile(std::vector<double> values, double q) {
   const std::size_t hi = std::min(lo + 1, values.size() - 1);
   const double frac = pos - static_cast<double>(lo);
   return values[lo] * (1.0 - frac) + values[hi] * frac;
-}
-
-std::string Summary::to_string() const {
-  std::ostringstream os;
-  os << "n=" << count << " mean=" << mean << " sd=" << stddev << " min=" << min
-     << " p50=" << p50 << " p95=" << p95 << " max=" << max;
-  return os.str();
 }
 
 Summary summarize(const std::vector<double>& values) {

@@ -2,7 +2,6 @@
 #pragma once
 
 #include <cstddef>
-#include <string>
 #include <vector>
 
 namespace dbs {
@@ -12,9 +11,6 @@ class RunningStats {
  public:
   /// Adds one observation.
   void add(double x);
-
-  /// Merges another accumulator into this one (parallel Welford merge).
-  void merge(const RunningStats& other);
 
   std::size_t count() const { return count_; }
   double mean() const;
@@ -46,9 +42,6 @@ struct Summary {
   double p50 = 0.0;
   double p95 = 0.0;
   double max = 0.0;
-
-  /// One-line human-readable rendering.
-  std::string to_string() const;
 };
 
 /// Computes a Summary of `values` (empty input yields a zero summary).

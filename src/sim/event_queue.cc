@@ -22,15 +22,6 @@ bool EventQueue::step() {
   return true;
 }
 
-std::size_t EventQueue::run_until(double until) {
-  std::size_t fired = 0;
-  while (!heap_.empty() && heap_.top().when <= until) {
-    step();
-    ++fired;
-  }
-  return fired;
-}
-
 std::size_t EventQueue::run_all() {
   std::size_t fired = 0;
   while (step()) ++fired;

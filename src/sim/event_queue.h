@@ -22,11 +22,7 @@ class EventQueue {
   /// Fires the next event; returns false when the queue is empty.
   bool step();
 
-  /// Runs until the queue drains or `until` is passed (events strictly after
-  /// `until` remain queued). Returns the number of events fired.
-  std::size_t run_until(double until);
-
-  /// Runs until the queue drains.
+  /// Runs until the queue drains. Returns the number of events fired.
   std::size_t run_all();
 
   /// Current simulation time: the timestamp of the last fired event.

@@ -45,11 +45,6 @@ ChannelSchedule BroadcastProgram::schedule(ChannelId c) const {
   return sched;
 }
 
-double BroadcastProgram::cycle_time(ChannelId c) const {
-  DBS_CHECK(c < channels());
-  return cycle_[c];
-}
-
 ChannelId BroadcastProgram::channel_of(ItemId item) const {
   DBS_CHECK(item < channel_.size());
   return channel_[item];

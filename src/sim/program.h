@@ -40,14 +40,10 @@ class BroadcastProgram {
   BroadcastProgram(const Allocation& alloc, double bandwidth);
 
   ChannelId channels() const { return static_cast<ChannelId>(cycle_.size()); }
-  double bandwidth() const { return bandwidth_; }
 
   /// Channel `c`'s slots, built from the columns in O(N_c) on every call:
   /// a caller that walks them repeatedly keeps its own copy.
   ChannelSchedule schedule(ChannelId c) const;
-
-  /// Cycle length Z_c / b of channel `c`.
-  double cycle_time(ChannelId c) const;
 
   /// Channel carrying `item`.
   ChannelId channel_of(ItemId item) const;

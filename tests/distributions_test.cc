@@ -122,26 +122,5 @@ TEST(Exponential, RejectsNonPositiveRate) {
   EXPECT_THROW(sample_exponential(rng, -1.0), ContractViolation);
 }
 
-TEST(DiscreteCdf, MatchesAliasSampler) {
-  const std::vector<double> p = {0.1, 0.6, 0.3};
-  Rng rng(21);
-  std::vector<int> counts(3, 0);
-  const int n = 100000;
-  for (int i = 0; i < n; ++i) ++counts[sample_discrete_cdf(rng, p)];
-  for (std::size_t i = 0; i < p.size(); ++i) {
-    EXPECT_NEAR(static_cast<double>(counts[i]) / n, p[i], 0.01);
-  }
-}
-
-TEST(DiscreteCdf, TailRoundingFallsToLastBucket) {
-  // Probabilities that sum to slightly under 1 must still return an index.
-  const std::vector<double> p = {0.5, 0.5 - 1e-13};
-  Rng rng(2);
-  for (int i = 0; i < 1000; ++i) {
-    const std::size_t v = sample_discrete_cdf(rng, p);
-    ASSERT_LT(v, 2u);
-  }
-}
-
 }  // namespace
 }  // namespace dbs

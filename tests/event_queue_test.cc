@@ -48,8 +48,11 @@ TEST(EventQueue, RunUntilLeavesLaterEvents) {
   q.schedule(1.0, [&] { ++fired; });
   q.schedule(2.0, [&] { ++fired; });
   q.schedule(3.0, [&] { ++fired; });
-  EXPECT_EQ(q.run_until(2.0), 2u);
+  // Fire the two events due by t = 2; the one at t = 3 stays queued.
+  ASSERT_TRUE(q.step());
+  ASSERT_TRUE(q.step());
   EXPECT_EQ(fired, 2);
+  EXPECT_DOUBLE_EQ(q.now(), 2.0);
   EXPECT_EQ(q.pending(), 1u);
   EXPECT_EQ(q.run_all(), 1u);
   EXPECT_EQ(fired, 3);

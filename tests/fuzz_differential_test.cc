@@ -12,7 +12,6 @@
 #include "core/drp.h"
 #include "core/partition.h"
 #include "model/cost.h"
-#include "replication/multi_program.h"
 #include "sim/event_queue.h"
 #include "sim/simulator.h"
 #include "workload/generator.h"
@@ -131,26 +130,6 @@ TEST(FuzzDifferential, SimulatorEnginesAgreeOnRandomPrograms) {
     const SimReport replay = replay_analytic(program, trace);
     ASSERT_EQ(des.requests_served, replay.requests_served);
     EXPECT_NEAR(des.mean_wait(), replay.mean_wait(), 1e-9) << "instance " << instance;
-  }
-}
-
-TEST(FuzzDifferential, MultiProgramSingleCopyMatchesBroadcastProgram) {
-  Rng rng(106);
-  for (int instance = 0; instance < 10; ++instance) {
-    const Database db = random_db(rng, 20);
-    const ChannelId k =
-        1 + static_cast<ChannelId>(rng.below(std::min<std::size_t>(4, db.size())));
-    std::vector<ChannelId> assignment(db.size());
-    for (auto& c : assignment) c = static_cast<ChannelId>(rng.below(k));
-    const Allocation alloc(db, k, assignment);
-    const double bandwidth = rng.uniform(1.0, 20.0);
-    const BroadcastProgram single(alloc, bandwidth);
-    const MultiProgram multi(db, alloc.members(), bandwidth);
-    for (int probe = 0; probe < 50; ++probe) {
-      const ItemId id = static_cast<ItemId>(rng.below(db.size()));
-      const double t = rng.uniform(0.0, 100.0);
-      EXPECT_NEAR(multi.delivery_time(id, t), single.delivery_time(id, t), 1e-9);
-    }
   }
 }
 

@@ -204,7 +204,6 @@ TEST(Program, ColumnsMatchTheSlotVectorBuildBitForBit) {
         EXPECT_EQ(got.slots[i].duration, expected.slots[i].duration);
       }
       EXPECT_EQ(got.cycle_time, expected.cycle_time);
-      EXPECT_EQ(program.cycle_time(c), expected.cycle_time);
       longest = std::max(longest, expected.cycle_time);
     }
     if (leave_idle) {
@@ -256,7 +255,6 @@ TEST(Program, RejectsBadBandwidthAndQueries) {
   EXPECT_THROW(program.delivery_time(5, 0.0), ContractViolation);
   EXPECT_THROW(program.delivery_time(0, -1.0), ContractViolation);
   EXPECT_THROW(program.schedule(1), ContractViolation);
-  EXPECT_THROW(program.cycle_time(1), ContractViolation);
 }
 
 }  // namespace

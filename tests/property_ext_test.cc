@@ -12,9 +12,6 @@
 #include "core/swap.h"
 #include "hetero/hetero.h"
 #include "model/cost.h"
-#include "ondemand/server.h"
-#include "replication/multi_program.h"
-#include "replication/replicate.h"
 #include "workload/generator.h"
 
 namespace dbs {
@@ -38,45 +35,6 @@ class ExtGrid : public ::testing::TestWithParam<ExtParam> {
   Allocation alloc_ = run_drp_cds(db_, k_).allocation;
   static constexpr double kBandwidth = 10.0;
 };
-
-TEST_P(ExtGrid, ReplicationNeverIncreasesAnalyticWait) {
-  const ReplicationResult r = replicate_greedy(alloc_, kBandwidth,
-                                               {.max_copies_per_item = 2,
-                                                .max_total_copies = 40});
-  EXPECT_LE(r.replicated_wait, r.base_wait + 1e-9);
-  // Base wait of the unreplicated placement equals Eq. (2).
-  EXPECT_NEAR(r.base_wait, program_waiting_time(alloc_, kBandwidth), 1e-9);
-  // The produced placement is loadable and consistent.
-  const MultiProgram multi(db_, r.placement, kBandwidth);
-  EXPECT_NEAR(multi.expected_wait(), r.replicated_wait, 1e-9);
-}
-
-TEST_P(ExtGrid, MultiProgramDeliveryNeverBeforeRequest) {
-  const MultiProgram multi(db_, alloc_.members(), kBandwidth);
-  const auto trace = generate_trace(db_, {.requests = 300, .seed = GetParam().seed});
-  for (const Request& r : trace) {
-    const double done = multi.delivery_time(r.item, r.time);
-    EXPECT_GT(done, r.time);
-    // Never earlier than the download itself.
-    EXPECT_GE(done - r.time, db_.item(r.item).size / kBandwidth - 1e-9);
-  }
-}
-
-TEST_P(ExtGrid, OnDemandServesEverythingAndRespectsWorkConservation) {
-  const auto trace = generate_trace(db_, {.requests = 1200, .arrival_rate = 8.0,
-                                          .seed = GetParam().seed + 1});
-  for (OnDemandPolicy policy :
-       {OnDemandPolicy::kFcfs, OnDemandPolicy::kRxW, OnDemandPolicy::kLtsf}) {
-    const OnDemandReport r = run_ondemand(
-        db_, trace, {.policy = policy, .channels = k_, .bandwidth = kBandwidth});
-    EXPECT_EQ(r.requests_served, trace.size());
-    // Every wait includes at least the item's own service time.
-    EXPECT_GT(r.waiting.min, 0.0);
-    // Stretch = wait/service ≥ 1 by construction.
-    EXPECT_GE(r.stretch.min, 1.0 - 1e-9);
-    EXPECT_LE(r.broadcasts, trace.size());
-  }
-}
 
 TEST_P(ExtGrid, HeteroSchedulerMatchesHomogeneousAtEqualBandwidths) {
   const std::vector<double> equal(k_, kBandwidth);

@@ -135,13 +135,5 @@ TEST(Rng, SplitProducesIndependentStream) {
   EXPECT_LT(matches, 3);
 }
 
-TEST(Rng, DiscardAdvancesState) {
-  Rng a(10);
-  Rng b(10);
-  a.discard(5);
-  for (int i = 0; i < 5; ++i) (void)b();
-  EXPECT_EQ(a(), b());
-}
-
 }  // namespace
 }  // namespace dbs
