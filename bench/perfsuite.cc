@@ -225,14 +225,15 @@ void json_metric(std::FILE* f, const char* key, const std::vector<double>& value
 }
 
 // The library counters a trial's work is measured by: CDS moves, Eq. 4
-// gains evaluated, index positions repaired, DRP split points priced and
-// the catalogue sort's radix passes. Each is deterministic per seed, so
+// gains evaluated, index positions repaired, span ranks the folds read to
+// find the touched channels' members, DRP split points priced and the
+// catalogue sort's radix passes. Each is deterministic per seed, so
 // perf_compare gates them exactly: a count above the baseline's on the same
 // trial is work a change added. A DBS_OBS=OFF build counts nothing.
 constexpr bool kCountsWork = DBS_OBS_ENABLED != 0;
-constexpr std::array<const char*, 5> kWorkCounters = {
+constexpr std::array<const char*, 6> kWorkCounters = {
     "core.cds.iterations", "core.cds.moves_evaluated", "core.cds.index_repairs",
-    "core.partition.split_candidates", "model.database.radix_passes"};
+    "core.cds.span_ranks", "core.partition.split_candidates", "model.database.radix_passes"};
 using WorkCounts = std::array<std::uint64_t, kWorkCounters.size()>;
 
 WorkCounts work_counts() {

@@ -84,6 +84,9 @@ CandidateIndex::CandidateIndex(Allocation& alloc)
     map->chan.reserve(k);
   }
   dirty_blocks_.reserve(block_max_.size());
+  // Two maps of at most K pieces split the ranks into at most 2K − 1
+  // segments, so at most K merged stale runs, plus the sentinel.
+  stale_.reserve(k + 1);
   const std::vector<ChannelId>& assignment = alloc_.assignment();
   for (std::uint32_t r = 0; r < n; ++r) {
     home_[r] = assignment[order_[r]];
@@ -96,7 +99,7 @@ CandidateIndex::CandidateIndex(Allocation& alloc)
   build_pieces(pieces_);
   for (std::size_t i = 0; i < pieces_.chan.size(); ++i) {
     const ChannelId to = pieces_.chan[i];
-    refresh_range(pieces_.start[i], pieces_.start[i + 1], to, to, to);
+    refresh_range(pieces_.start[i], pieces_.start[i + 1], to);
   }
   for (std::size_t b = 0; b < block_max_.size(); ++b) mark_dirty(b);
 }
@@ -199,8 +202,7 @@ void CandidateIndex::build_pieces(PieceMap& out) {
   out.start.push_back(n);
 }
 
-void CandidateIndex::refresh_range(std::size_t lo, std::size_t hi, ChannelId to,
-                                   ChannelId skip_a, ChannelId skip_b) {
+void CandidateIndex::refresh_range(std::size_t lo, std::size_t hi, ChannelId to) {
   // Same expression in the same order as Allocation::move_gain (Eq. 4), so
   // each cached gain is bit-identical to what best_move(alloc) computes; its
   // two differences are move_gain's own subtractions, taken once per home
@@ -221,7 +223,7 @@ void CandidateIndex::refresh_range(std::size_t lo, std::size_t hi, ChannelId to,
     const double z = item_size_[r];
     const double gain = f * diff_[home].size + z * diff_[home].freq - 2.0 * f * z;
     gain_[r] = home == to ? kNegInf : gain;
-    evaluated += static_cast<std::size_t>((home != to) & (home != skip_a) & (home != skip_b));
+    evaluated += static_cast<std::size_t>(home != to);
   }
   moves_evaluated_ += evaluated;
 }
@@ -234,35 +236,41 @@ void CandidateIndex::mark_dirty(std::size_t block) {
 }
 
 void CandidateIndex::refresh_members(ChannelId c) {
-  // One block of the span at a time: pack the block's members into `found`
-  // without a branch, then refresh them in rank order, each target read
-  // from a cursor over the piece map instead of a search. The home column
-  // and the members' f, z and gain are all read in rank order, so the walk
-  // streams; only a span much wider than its members (an interleaved
-  // layout) makes it cost more than a per-channel member list would. Every
-  // member's home is c, so Eq. 4's differences change only with the piece.
+  // The stale segments' refresh already recomputed every gain in them, the
+  // members' included, so the walk covers only the span's ranks between
+  // them. One block of such a stretch at a time: pack the block's members
+  // into `found` without a branch, then refresh them in rank order, each
+  // target read from a cursor over the piece map instead of a search. The
+  // home column and the members' f, z and gain are all read in rank order,
+  // so the walk streams; only a span much wider than its members (an
+  // interleaved layout) makes it cost more than a per-channel member list
+  // would. Every member's home is c, so Eq. 4's differences change only
+  // with the piece.
   std::uint32_t found[kBlockRanks];
-  Span& span = spans_[c];
-  Span tight{kNoRank, 0};
+  const Span span = spans_[c];
   const double z_home = chan_size_[c];
   const double f_home = chan_freq_[c];
   std::size_t piece = 0;
   ChannelId to = pieces_.chan[0];
   Difference diff{z_home - chan_size_[to], f_home - chan_freq_[to]};
   std::size_t evaluated = 0;
+  std::size_t scanned = 0;
+  const Span* stale = stale_.data();  // the first stale run not yet passed
   for (std::uint32_t first = span.lo; first < span.hi;) {
-    const auto end = static_cast<std::uint32_t>(
-        std::min<std::size_t>(span.hi, (first / kBlockRanks + 1) * kBlockRanks));
+    while (stale->hi <= first) ++stale;
+    if (stale->lo <= first) {
+      first = stale->hi;
+      continue;
+    }
+    const auto end = static_cast<std::uint32_t>(std::min<std::size_t>(
+        std::min(span.hi, stale->lo), (first / kBlockRanks + 1) * kBlockRanks));
+    scanned += end - first;
     std::size_t count = 0;
     for (std::uint32_t r = first; r < end; ++r) {
       found[count] = r;
       count += home_[r] == c;
     }
-    if (count > 0) {
-      mark_dirty(first / kBlockRanks);
-      tight.lo = std::min(tight.lo, found[0]);
-      tight.hi = found[count - 1] + 1;
-    }
+    if (count > 0) mark_dirty(first / kBlockRanks);
     for (std::size_t m = 0; m < count; ++m) {
       const std::uint32_t r = found[m];
       if (pieces_.start[piece + 1] <= r) {
@@ -280,7 +288,7 @@ void CandidateIndex::refresh_members(ChannelId c) {
     first = end;
   }
   moves_evaluated_ += evaluated;
-  span = tight;
+  span_ranks_ += scanned;
 }
 
 void CandidateIndex::fold() {
@@ -293,11 +301,12 @@ void CandidateIndex::fold() {
   // Walk the segments on which neither map changes piece. A gain depends on
   // the item's home and target aggregates only, so it is stale exactly when
   // the target changed, the target is p or q, or the home is p or q. The
-  // first two are whole rank ranges; items on p or q are found in their
-  // spans. A range refresh computes their gains too rather than branch
-  // around them, and leaves them out of its count: the span walks overwrite
-  // and count them, so each gain is counted once.
+  // first two are whole rank ranges, recorded as merged runs for the span
+  // walks; items on p or q are found in their spans. A range refresh
+  // computes their gains too rather than branch around them, so the span
+  // walks skip the runs and each stale gain is computed and counted once.
   const std::size_t n = alloc_.items();
+  stale_.clear();
   std::size_t i = 0;
   std::size_t j = 0;
   for (std::size_t pos = 0; pos < n;) {
@@ -308,12 +317,19 @@ void CandidateIndex::fold() {
       for (std::size_t b = pos / kBlockRanks; b <= (end - 1) / kBlockRanks; ++b) {
         mark_dirty(b);
       }
-      refresh_range(pos, end, to, p, q);
+      refresh_range(pos, end, to);
+      if (!stale_.empty() && stale_.back().hi == pos) {
+        stale_.back().hi = static_cast<std::uint32_t>(end);
+      } else {
+        stale_.push_back(Span{static_cast<std::uint32_t>(pos), static_cast<std::uint32_t>(end)});
+      }
     }
     pos = end;
     i += old_pieces_.start[i + 1] == end;
     j += pieces_.start[j + 1] == end;
   }
+  // Past every span, so the walks never run off the end of the list.
+  stale_.push_back(Span{static_cast<std::uint32_t>(n), static_cast<std::uint32_t>(n)});
   refresh_members(p);
   if (q != p) refresh_members(q);
 }
@@ -371,6 +387,15 @@ void CandidateIndex::apply(const CdsMove& move) {
   Span& span = spans_[move.to];
   span.lo = std::min(span.lo, rank);
   span.hi = std::max(span.hi, rank + 1);
+  // The source's span sheds the moved rank when it was an end: step each
+  // end inward to a member. An emptied channel's span becomes empty.
+  Span& source = spans_[from];
+  std::uint32_t lo = source.lo;
+  std::uint32_t hi = source.hi;
+  while (lo < hi && home_[lo] != from) ++lo;
+  while (hi > lo && home_[hi - 1] != from) --hi;
+  span_ranks_ += (lo - source.lo) + (source.hi - hi);
+  source = lo < hi ? Span{lo, hi} : Span{kNoRank, 0};
   touched_p_ = from;
   touched_q_ = move.to;
   pending_ = true;

@@ -25,13 +25,15 @@
 // After a move p→q the fold rebuilds the hull, finds each piece's start with
 // one binary search per hull edge whose inputs changed (the others reuse
 // their last result), and merges the old and new piece maps: a
-// gain is recomputed only where the piece channel changed or is p or q (whole
-// rank ranges, streamed), and for the items living on p or q (found by
-// streaming the home column over p's and q's spans, which the walk then
-// tightens to their first and last member). Every other gain is still
-// exact, so the fold does no O(N) pass. Selection refreshes the maxima of
-// the blocks the fold touched, then scans the block maxima. All scratch is
-// sized at construction, so a fold allocates nothing. See
+// gain is recomputed only where the piece channel changed or is p or q (the
+// stale segments: whole rank ranges, streamed), and for the items living on
+// p or q (found by streaming the home column over p's and q's spans). Each
+// stale gain is computed once: the span walks step over the stale segments,
+// whose refresh already covered the members there. Every other gain is
+// still exact, so the fold does no O(N) pass. Spans stay exact: apply()
+// steps p's ends inward past the moved rank. Selection refreshes the maxima
+// of the blocks the fold touched, then scans the block maxima. Every buffer
+// a fold uses is sized at construction, so a fold allocates nothing. See
 // docs/ARCHITECTURE.md §5 for the exactness argument.
 #pragma once
 
@@ -83,6 +85,12 @@ class CandidateIndex {
   /// Mirrors CdsStats::index_repairs.
   std::size_t repairs() const { return repairs_; }
 
+  /// \brief Span ranks read to find the touched channels' members: the
+  /// folds' walks outside the stale segments, plus the ranks apply() steps
+  /// past to tighten the source channel's span. Mirrors
+  /// CdsStats::span_ranks.
+  std::size_t span_ranks() const { return span_ranks_; }
+
  private:
   /// The min-load target as a function of rank: piece i covers ranks
   /// [start[i], start[i + 1]) and targets channel chan[i]. Pieces are
@@ -95,9 +103,8 @@ class CandidateIndex {
     ChannelId target_at(std::size_t pos) const;
   };
 
-  /// Ranks [lo, hi) hold every member of a channel; lo ≥ hi when it has
-  /// none. Exact (first member, last member + 1) except for the source
-  /// channel of a pending move, whose span the next fold tightens.
+  /// Ranks [lo, hi): a channel's first member and last member + 1, or
+  /// lo ≥ hi when it has none. Also a fold's stale segments, merged.
   struct Span {
     std::uint32_t lo;
     std::uint32_t hi;
@@ -140,10 +147,8 @@ class CandidateIndex {
   std::size_t first_beaten(ChannelId a, ChannelId b, std::size_t from);
 
   /// \brief Recomputes the gains of ranks [lo, hi) for target `to` and
-  /// counts those whose home is none of `to`, `skip_a` and `skip_b` (the
-  /// channels whose members a fold refreshes, and counts, afterwards).
-  void refresh_range(std::size_t lo, std::size_t hi, ChannelId to,
-                     ChannelId skip_a, ChannelId skip_b);
+  /// counts those whose home is not `to`.
+  void refresh_range(std::size_t lo, std::size_t hi, ChannelId to);
 
   /// \brief Queues block `block` for a fresh maximum at the next selection.
   void mark_dirty(std::size_t block);
@@ -151,9 +156,8 @@ class CandidateIndex {
   /// \brief Folds the pending move p→q into the piece map and the gains.
   void fold();
 
-  /// \brief Recomputes the gains of channel c's members, walking its span
-  /// one block at a time, and tightens the span to its first and last
-  /// member.
+  /// \brief Recomputes the gains of channel c's members outside the stale
+  /// segments, walking its span one block at a time.
   void refresh_members(ChannelId c);
 
   Allocation& alloc_;
@@ -178,6 +182,7 @@ class CandidateIndex {
   std::vector<std::uint32_t> dirty_blocks_;  // blocks whose max is stale
   std::vector<Difference> diff_;        // by home: refresh_range's table
   std::vector<EdgeSearch> edges_;       // by left vertex: the last search
+  std::vector<Span> stale_;             // the fold's stale runs, then {N, N}
 
   std::uint32_t selected_ = 0;  // rank of the move best_move() last returned
   bool pending_ = false;
@@ -185,6 +190,7 @@ class CandidateIndex {
   ChannelId touched_q_ = 0;
   std::size_t moves_evaluated_ = 0;
   std::size_t repairs_ = 0;
+  std::size_t span_ranks_ = 0;
 };
 
 }  // namespace dbs

@@ -59,12 +59,14 @@ CdsStats run_cds(Allocation& alloc, const CdsOptions& options) {
     }
     stats.moves_evaluated = index.moves_evaluated();
     stats.index_repairs = index.repairs();
+    stats.span_ranks = index.span_ranks();
   }
   stats.final_cost = alloc.cost();
   DBS_OBS_COUNTER_INC("core.cds.runs");
   DBS_OBS_COUNTER_ADD("core.cds.iterations", stats.iterations);
   DBS_OBS_COUNTER_ADD("core.cds.moves_evaluated", stats.moves_evaluated);
   DBS_OBS_COUNTER_ADD("core.cds.index_repairs", stats.index_repairs);
+  DBS_OBS_COUNTER_ADD("core.cds.span_ranks", stats.span_ranks);
   DBS_OBS_HISTOGRAM_OBSERVE("core.cds.iterations_per_run", stats.iterations);
   return stats;
 }

@@ -65,7 +65,10 @@ struct CdsStats {
   /// two channels (0 when no move was applied).
   std::size_t index_repairs = 0;
 
-  double total_reduction() const { return initial_cost - final_cost; }
+  /// Ranks of the touched channels' spans the index read to find their
+  /// members: each fold's walk outside the stale positions, plus the ranks
+  /// a move's source span sheds (0 when no move was applied).
+  std::size_t span_ranks = 0;
 };
 
 /// A candidate move with its predicted gain.

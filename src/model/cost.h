@@ -7,12 +7,6 @@
 
 namespace dbs {
 
-/// \brief Cost of a group with aggregate frequency F and aggregate size Z:
-/// cost = F · Z (Definition 1, expressed on aggregates).
-inline double group_cost(double aggregate_freq, double aggregate_size) {
-  return aggregate_freq * aggregate_size;
-}
-
 /// \brief Waiting time of item `id` on its assigned channel (Eq. 1):
 ///   W_j = Z_i / (2b) + z_j / b
 /// i.e. expected probe time (half the broadcast cycle) plus download time.

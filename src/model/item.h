@@ -18,10 +18,6 @@ struct Item {
   ItemId id = 0;
   double size = 1.0;  ///< z_j, strictly positive
   double freq = 0.0;  ///< f_j, non-negative
-
-  /// Benefit ratio br = f / z (paper §3.1): access probability is profit,
-  /// item size is cost. DRP orders items by this ratio.
-  double benefit_ratio() const { return freq / size; }
 };
 
 /// \brief Items compare equal iff all fields match exactly (useful in

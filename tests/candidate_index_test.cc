@@ -95,6 +95,16 @@ void walk_randomly(Allocation& alloc, CandidateIndex& index,
   }
 }
 
+// Channel = rank mod K: every channel's members spread over nearly all N
+// ranks, K − 1 non-members between each two.
+std::vector<ChannelId> interleaved_start(const Database& db, ChannelId k) {
+  std::vector<ChannelId> start(db.size());
+  for (std::size_t rank = 0; rank < db.size(); ++rank) {
+    start[db.benefit_order()[rank]] = static_cast<ChannelId>(rank % k);
+  }
+  return start;
+}
+
 Allocation local_optimum(const Database& db, ChannelId channels) {
   Allocation optimum = run_drp(db, channels).allocation;
   run_cds(optimum);
@@ -163,11 +173,7 @@ TEST(CandidateIndex, AgreesWithScanFromAnInterleavedStart) {
   // members each: the member walk's worst layout.
   const Database db = generate_database({.items = 900, .diversity = 3.0, .seed = 32});
   constexpr ChannelId k = 8;
-  std::vector<ChannelId> start(db.size());
-  for (std::size_t rank = 0; rank < db.size(); ++rank) {
-    start[db.benefit_order()[rank]] = static_cast<ChannelId>(rank % k);
-  }
-  Allocation alloc(db, k, start);
+  Allocation alloc(db, k, interleaved_start(db, k));
   CandidateIndex index(alloc);
   walk_randomly(alloc, index, expect_matches_scan);
 }
@@ -287,6 +293,108 @@ TEST(CandidateIndex, AgedIndexAgreesWithFreshlyBuiltIndex) {
       descend_and_walk_against_fresh(alloc, "integer instance " + std::to_string(instance) +
                                                 (all_on_zero ? " from channel 0" : " scattered"));
     }
+  }
+}
+
+TEST(CandidateIndex, AgedIndexAgreesWithFreshWhenNearlyEveryRankIsStale) {
+  // With two or three channels nearly every rank targets p or q after a
+  // move, so the stale segments cover most of both spans and the member
+  // walks refresh only the few ranks between them. Descents and random
+  // walks from DRP's groups and from channel = rank mod K, checked against
+  // a fresh index after every fold. A member walk that also skipped the
+  // rank after each stale run passes some of these catalogues, so there
+  // are eight.
+  for (std::uint64_t seed = 34; seed < 42; ++seed) {
+    const Database db = generate_database({.items = 600, .diversity = 3.0, .seed = seed});
+    for (const ChannelId k : {ChannelId{2}, ChannelId{3}}) {
+      for (const bool interleaved : {false, true}) {
+        Allocation alloc = interleaved ? Allocation(db, k, interleaved_start(db, k))
+                                       : run_drp(db, k).allocation;
+        descend_and_walk_against_fresh(alloc, "seed " + std::to_string(seed) + ", K = " +
+                                                  std::to_string(k) +
+                                                  (interleaved ? " interleaved" : " from DRP"));
+      }
+    }
+  }
+}
+
+TEST(CandidateIndex, MovingASpanEndStepsItInwardToTheNextMember) {
+  // Channel = rank mod 3 puts channel 1's members at ranks 1, 4, ..., 598
+  // of 600. Moving its first member steps the span's start past ranks 1–3,
+  // moving its last steps the end past ranks 596–598, and moving a member
+  // in between leaves the span as it is. Each move is checked against a
+  // fresh index, so a span that lost a member would show.
+  const Database db = generate_database({.items = 600, .diversity = 3.0, .seed = 35});
+  constexpr ChannelId k = 3;
+  Allocation alloc(db, k, interleaved_start(db, k));
+  CandidateIndex index(alloc);
+  index.best_move();
+  for (const auto& [rank, to, stepped] :
+       {std::tuple<std::size_t, ChannelId, std::size_t>{1, 0, 3}, {598, 2, 3}, {301, 0, 0},
+        {4, 2, 3}}) {
+    const ItemId item = db.benefit_order()[rank];
+    const std::size_t before = index.span_ranks();
+    index.apply(CdsMove{item, 1, to, 0.0});
+    EXPECT_EQ(index.span_ranks() - before, stepped) << "rank " << rank;
+    expect_matches_fresh(alloc, index, "after moving a member of channel 1");
+  }
+  for (CdsMove move = index.best_move(); move.gain > kCdsMinGain; move = index.best_move()) {
+    index.apply(move);
+    expect_matches_fresh(alloc, index, "descent after the end moves");
+  }
+}
+
+TEST(CandidateIndex, AgedIndexAgreesWithFreshWhenAMoveEmptiesItsSource) {
+  // Channel 2 holds one item, at rank 150 of 300. Moving it out empties the
+  // channel; moving the items at rank 0 and rank N − 1 in regrows its span
+  // from both ends of the rank order. A descent follows, checked after
+  // every fold.
+  const Database db = generate_database({.items = 300, .diversity = 3.0, .seed = 36});
+  std::vector<ChannelId> start(db.size());
+  for (std::size_t rank = 0; rank < db.size(); ++rank) {
+    start[db.benefit_order()[rank]] = rank == 150 ? 2 : static_cast<ChannelId>(rank >= 150);
+  }
+  Allocation alloc(db, 3, start);
+  CandidateIndex index(alloc);
+  index.best_move();
+  index.apply(CdsMove{db.benefit_order()[150], 2, 0, 0.0});
+  ASSERT_EQ(alloc.count_of(2), 0u);
+  expect_matches_fresh(alloc, index, "channel 2 emptied");
+  index.apply(CdsMove{db.benefit_order().front(), 0, 2, 0.0});
+  expect_matches_fresh(alloc, index, "refilled at rank 0");
+  index.apply(CdsMove{db.benefit_order().back(), 1, 2, 0.0});
+  expect_matches_fresh(alloc, index, "refilled at rank N - 1");
+  for (CdsMove move = index.best_move(); move.gain > kCdsMinGain; move = index.best_move()) {
+    index.apply(move);
+    expect_matches_fresh(alloc, index, "descent after the refill");
+  }
+}
+
+TEST(CandidateIndex, ASelfMoveLeavesTheSelectionUnchanged) {
+  // apply({x, p, p}) moves nothing, yet the fold still treats p as touched:
+  // its stale segments and members are refreshed to the same gains. Self-
+  // moves of the selected item and of the first and last members of a
+  // channel's span must leave the cost and the selected move as they were.
+  const Database db = generate_database({.items = 400, .diversity = 3.0, .seed = 37});
+  Allocation alloc = run_drp(db, 5).allocation;
+  CandidateIndex index(alloc);
+  const CdsMove selected = index.best_move();
+  ASSERT_GT(selected.gain, 0.0);
+  const double cost = alloc.cost();
+  std::vector<ItemId> on_two;
+  for (const ItemId id : db.benefit_order()) {
+    if (alloc.assignment()[id] == 2) on_two.push_back(id);
+  }
+  ASSERT_FALSE(on_two.empty());
+  for (const ItemId item : {selected.item, on_two.front(), on_two.back()}) {
+    const ChannelId home = alloc.assignment()[item];
+    index.apply(CdsMove{item, home, home, 0.0});
+    EXPECT_EQ(alloc.cost(), cost);
+    const CdsMove again = index.best_move();
+    EXPECT_EQ(again.item, selected.item);
+    EXPECT_EQ(again.to, selected.to);
+    EXPECT_EQ(again.gain, selected.gain);
+    expect_matches_fresh(alloc, index, "after a self-move");
   }
 }
 

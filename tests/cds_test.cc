@@ -53,7 +53,7 @@ TEST(Cds, CostNeverIncreasesAndConverges) {
   EXPECT_TRUE(stats.converged);
   EXPECT_DOUBLE_EQ(stats.initial_cost, before);
   EXPECT_NEAR(stats.final_cost, alloc.cost(), 1e-12);
-  EXPECT_NEAR(stats.total_reduction(), before - alloc.cost(), 1e-12);
+  EXPECT_NEAR(stats.initial_cost - stats.final_cost, before - alloc.cost(), 1e-12);
 }
 
 TEST(Cds, EachIterationStrictlyDecreasesCost) {

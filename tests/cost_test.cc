@@ -8,11 +8,6 @@
 namespace dbs {
 namespace {
 
-TEST(Cost, GroupCostIsProduct) {
-  EXPECT_DOUBLE_EQ(group_cost(0.5, 20.0), 10.0);
-  EXPECT_DOUBLE_EQ(group_cost(0.0, 100.0), 0.0);
-}
-
 TEST(Cost, SingleChannelMatchesIntroFormula) {
   // N items of equal size z on one channel: W = Nz/2b + z/b (paper §1).
   const std::size_t n = 10;

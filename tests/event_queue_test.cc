@@ -42,7 +42,7 @@ TEST(EventQueue, HandlersCanScheduleMoreEvents) {
   EXPECT_EQ(times, (std::vector<double>{0.0, 1.0, 2.0, 3.0, 4.0}));
 }
 
-TEST(EventQueue, RunUntilLeavesLaterEvents) {
+TEST(EventQueue, StepLeavesLaterEventsPending) {
   EventQueue q;
   int fired = 0;
   q.schedule(1.0, [&] { ++fired; });

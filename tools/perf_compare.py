@@ -30,13 +30,13 @@ flavour, and every check is exact. Checks, in order:
               algorithm change must regenerate the baseline (see
               docs/BENCHMARKING.md).
   work        The `work` block holds per-trial counts of the library's work
-              counters (CDS moves, gains evaluated, index repairs, split
-              points priced, radix passes). A count above OLD's on a shared
-              trial fails; a count below it passes and is reported. A config
-              without work in OLD is not gated. A NEW file built with
-              DBS_OBS=OFF says so (`"obs": false`) and counted nothing, so
-              its work is not gated and the output says why; any other NEW
-              config that lacks a counter OLD has fails.
+              counters (CDS moves, gains evaluated, index repairs, span ranks
+              walked, split points priced, radix passes). A count above OLD's
+              on a shared trial fails; a count below it passes and is
+              reported. A config without work in OLD is not gated. A NEW file
+              built with DBS_OBS=OFF says so (`"obs": false`) and counted
+              nothing, so its work is not gated and the output says why; any
+              other NEW config that lacks a counter OLD has fails.
 
 Wall times (`wall_ms`) are printed for every config but never gated: on a
 shared host they move with co-tenant load, and the counts of work do not.
